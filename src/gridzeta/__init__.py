@@ -38,7 +38,6 @@ from .expansions import (
 )
 from .finite_graphs import (
     FiniteGraph,
-    ZetaEvaluation,
     convergence_table,
     finite_functional_equation_residual,
     grid_graph,

@@ -269,7 +269,10 @@ def cmd_sheets(args) -> int:
 
 def cmd_converge(args) -> int:
     u = parse_complex(args.u)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from exc
     rows = convergence_table(args.family, u, sizes)
     print(convergence_table_csv(rows))
     return 0

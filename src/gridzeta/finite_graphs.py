@@ -31,7 +31,6 @@ from .regions import is_in_omega
 
 __all__ = [
     "FiniteGraph",
-    "ZetaEvaluation",
     "GRID_LIMIT_RADIUS",
     "grid_graph",
     "torus_graph",
@@ -40,7 +39,6 @@ __all__ = [
     "torus_zeta_eigenroute",
     "finite_functional_equation_residual",
     "normalized_log_zeta",
-    "evaluate_zeta",
     "convergence_table",
     "convergence_table_csv",
 ]
@@ -49,6 +47,9 @@ __all__ = [
 GRID_LIMIT_RADIUS = 1.0 / (4.0 + math.sqrt(22.0))
 
 _DENSE_CAP = 4096
+
+# the banded log-determinant refuses a band array larger than this
+_BAND_CAP_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -83,50 +84,35 @@ class FiniteGraph:
         return "\n".join(f"{i} {j}" for i, j in zip(coo.row, coo.col))
 
 
-@dataclass(frozen=True)
-class ZetaEvaluation:
-    u: complex
-    zeta: complex
-    log_zeta_per_vertex: complex
-
-
-def _graph_from_edges(n_vertices: int, edges, family: str, shape) -> FiniteGraph:
-    rows = [i for i, _ in edges] + [j for _, j in edges]
-    cols = [j for _, j in edges] + [i for i, _ in edges]
-    a = scipy.sparse.csr_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)),
-        shape=(n_vertices, n_vertices),
-    )
+def _product_graph(n: int, m: int, wrap: bool, family: str) -> FiniteGraph:
+    """Row-major product graph: each vertex (i, j) links down to (i+1, j) and
+    right to (i, j+1), cyclically when `wrap`, edges listed vertex by vertex."""
+    i, j = np.divmod(np.arange(n * m), m)
+    down, right = (i + 1) % n, (j + 1) % m
+    src = np.repeat(i * m + j, 2)
+    dst = np.column_stack((down * m + j, i * m + right)).ravel()
+    if not wrap:
+        keep = np.column_stack((i + 1 < n, j + 1 < m)).ravel()
+        src, dst = src[keep], dst[keep]
+    rows, cols = np.concatenate((src, dst)), np.concatenate((dst, src))
+    a = scipy.sparse.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
+                                shape=(n * m, n * m))
     degrees = np.asarray(a.sum(axis=1)).ravel()
-    return FiniteGraph(n_vertices, a, degrees, len(edges), family, tuple(shape))
+    return FiniteGraph(n * m, a, degrees, len(src), family, (n, m))
 
 
 def grid_graph(n: int, m: int) -> FiniteGraph:
     """Cartesian product of two paths: the n-by-m square grid graph."""
     if n < 2 or m < 2:
         raise DomainError("grid_graph needs n, m >= 2")
-    idx = lambda i, j: i * m + j
-    edges = []
-    for i in range(n):
-        for j in range(m):
-            if i + 1 < n:
-                edges.append((idx(i, j), idx(i + 1, j)))
-            if j + 1 < m:
-                edges.append((idx(i, j), idx(i, j + 1)))
-    return _graph_from_edges(n * m, edges, "grid", (n, m))
+    return _product_graph(n, m, False, "grid")
 
 
 def torus_graph(n: int, m: int) -> FiniteGraph:
     """Cartesian product of two cycles: the 4-regular n-by-m torus graph."""
     if n < 3 or m < 3:
         raise DomainError("torus_graph needs n, m >= 3 (smaller cycles are not simple)")
-    idx = lambda i, j: i * m + j
-    edges = []
-    for i in range(n):
-        for j in range(m):
-            edges.append((idx(i, j), idx((i + 1) % n, j)))
-            edges.append((idx(i, j), idx(i, (j + 1) % m)))
-    return _graph_from_edges(n * m, edges, "torus", (n, m))
+    return _product_graph(n, m, True, "torus")
 
 
 def torus_adjacency_eigenvalues(n: int, m: int) -> np.ndarray:
@@ -195,27 +181,47 @@ def finite_functional_equation_residual(g: FiniteGraph, u) -> float:
     return abs(z_there - rhs) / abs(z_there)
 
 
-def _log_det_lu(mat: np.ndarray) -> complex:
-    lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
-    diag = np.diag(lu)
-    if np.any(diag.real <= 0.0):
+def _band_dtype(k: int, n_vertices: int, u: complex) -> np.dtype:
+    """dtype of the band array at this u, refusing one over the size cap."""
+    dtype = np.dtype(np.float64 if u.imag == 0.0 else np.complex128)
+    nbytes = (3 * k + 1) * n_vertices * dtype.itemsize
+    if nbytes > _BAND_CAP_BYTES:
+        raise DomainError(f"band array needs {nbytes >> 20} MiB, "
+                          f"over the {_BAND_CAP_BYTES >> 20} MiB cap")
+    return dtype
+
+
+def _log_det_banded(g: FiniteGraph, u: complex) -> complex:
+    """log det(I - Au + (Deg-I)u^2) from the pivots of one banded LU.
+
+    In LAPACK band form the diagonal sits on row 2k for bandwidth k.  Where
+    the matrix is column diagonally dominant (|u| < 0.215 at degree <= 4)
+    elimination swaps no rows and every pivot stays in the right half-plane,
+    so their principal logs sum to the branch continuous from u = 0.
+    """
+    coo = g.adjacency.tocoo()
+    k = int(np.abs(coo.row - coo.col).max(initial=0))
+    dtype = _band_dtype(k, g.n_vertices, u)
+    x = u.real if dtype.kind == "f" else u
+    ab = np.zeros((3 * k + 1, g.n_vertices), dtype=dtype, order="F")
+    ab[2 * k + coo.row - coo.col, coo.col] = -x * coo.data
+    ab[2 * k] = 1.0 + (x * x) * (g.degrees - 1)
+    (gbtrf,) = scipy.linalg.get_lapack_funcs(("gbtrf",), (ab,))
+    lu, piv, info = gbtrf(ab, k, k, overwrite_ab=True)
+    pivots = lu[2 * k]
+    if info != 0 or not np.array_equal(piv, np.arange(g.n_vertices)) or np.any(pivots.real <= 0.0):
         raise BranchAmbiguityError(
-            "an elimination pivot left the right half-plane; no coherent log branch"
+            "banded elimination swapped rows or left the right half-plane; no coherent log branch"
         )
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    if swaps % 2 == 1:
-        raise BranchAmbiguityError(
-            "odd pivot permutation: determinant sign cannot be folded into a continuous log"
-        )
-    return complex(np.sum(np.log(diag)))
+    return complex(np.sum(np.log(pivots)))
 
 
 def normalized_log_zeta(g: FiniteGraph, u) -> complex:
     """(log zeta)/v with the branch continuous along the real-u path from 0.
 
-    Torus graphs use the explicit eigenvalue factors, grids the elimination
-    pivots (Cholesky for real u); any factor straying out of the right
-    half-plane raises rather than silently wrapping the branch.
+    Torus graphs use the explicit eigenvalue factors, grids the pivots of a
+    banded LU (capped at 256 MiB of band storage); any factor straying out of
+    the right half-plane raises rather than silently wrapping the branch.
     """
     u = complex(u)
     v, e = g.n_vertices, g.n_edges
@@ -232,21 +238,8 @@ def normalized_log_zeta(g: FiniteGraph, u) -> complex:
             raise DomainError(
                 "grid normalization is only claimed for |u| < 1/(4+sqrt(22)) ~ 0.115"
             )
-        mat = _bass_matrix(g, u)
-        if u.imag == 0.0:
-            try:
-                chol = scipy.linalg.cholesky(mat.real, lower=False, check_finite=False)
-                log_det = complex(2.0 * np.sum(np.log(np.diag(chol))))
-            except scipy.linalg.LinAlgError:
-                log_det = _log_det_lu(mat)
-        else:
-            log_det = _log_det_lu(mat)
+        log_det = _log_det_banded(g, u)
     return (-(e - v) * cmath.log(1.0 - u * u) - log_det) / v
-
-
-def evaluate_zeta(g: FiniteGraph, u) -> ZetaEvaluation:
-    u = complex(u)
-    return ZetaEvaluation(u, ihara_zeta_finite(g, u), normalized_log_zeta(g, u))
 
 
 def convergence_table(family: str, u, sizes, reference=None) -> list[tuple[int, float]]:
@@ -259,6 +252,10 @@ def convergence_table(family: str, u, sizes, reference=None) -> list[tuple[int, 
         raise DomainError("sizes must be strictly increasing")
     if family not in ("grid", "torus"):
         raise DomainError("family must be 'grid' or 'torus'")
+    if family == "grid":
+        # refuse before building anything: an s-by-s grid has bandwidth s
+        for s in sizes:
+            _band_dtype(s, s * s, u)
     if reference is None:
         from .surface import lift_principal, zeta_tilde
 

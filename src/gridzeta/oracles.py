@@ -147,7 +147,7 @@ def log_det_1d_quadrature(u, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> compl
                       epsabs=spec.abs_tol / 8, epsrel=spec.rel_tol, limit=200)
     im, im_err = quad(lambda w: integrand(w).imag, 0.0, math.pi / 2,
                       epsabs=spec.abs_tol / 8, epsrel=spec.rel_tol, limit=200)
-    if re_err + im_err > spec.abs_tol:
+    if re_err + im_err > max(spec.abs_tol, spec.rel_tol * abs(complex(re, im))):
         raise PrecisionError("reduced integral error estimate above tolerance")
     return cmath.log((1.0 + 3.0 * u * u) / 2.0) + (2.0 / math.pi) * complex(re, im)
 

@@ -171,6 +171,14 @@ class TestConverge:
         errs = [float(line.split(",")[1]) for line in lines[1:]]
         assert errs[1] < errs[0]
 
+    @pytest.mark.parametrize("sizes", ["2000", "8,x"])
+    def test_bad_sizes_exit_domain(self, capsys, sizes):
+        code, out, err = run_cli(capsys, "converge", "--family", "grid",
+                                 "--u", "0.05+0.05i", "--sizes", sizes)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["type"] == "domain"
+
 
 class TestWalks:
     def test_geodesic_agreement(self, capsys):

@@ -1,18 +1,22 @@
 """Finite grid/torus graphs: structure, zeta routes, duality, convergence."""
 
 import cmath
+import dataclasses
 import math
 import random
+import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from gridzeta.errors import DomainError, PoleError
+from gridzeta import finite_graphs
+from gridzeta.errors import BranchAmbiguityError, DomainError, PoleError
 from gridzeta.finite_graphs import (
     GRID_LIMIT_RADIUS,
+    FiniteGraph,
     convergence_table,
     convergence_table_csv,
-    evaluate_zeta,
     finite_functional_equation_residual,
     grid_graph,
     ihara_zeta_finite,
@@ -23,7 +27,35 @@ from gridzeta.finite_graphs import (
 )
 
 
+def _loop_adjacency(n, m, wrap):
+    """Reference: edges vertex by vertex from a double loop, as a CSR matrix."""
+    idx = lambda i, j: i * m + j
+    edges = []
+    for i in range(n):
+        for j in range(m):
+            if wrap or i + 1 < n:
+                edges.append((idx(i, j), idx((i + 1) % n, j)))
+            if wrap or j + 1 < m:
+                edges.append((idx(i, j), idx(i, (j + 1) % m)))
+    rows = [a for a, _ in edges] + [b for _, b in edges]
+    cols = [b for _, b in edges] + [a for a, _ in edges]
+    ones = np.ones(len(rows), dtype=np.int64)
+    return scipy.sparse.csr_matrix((ones, (rows, cols)), shape=(n * m, n * m)), len(edges)
+
+
 class TestStructure:
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 7), (7, 3), (4, 6), (12, 12)])
+    @pytest.mark.parametrize("make, wrap", [(grid_graph, False), (torus_graph, True)])
+    def test_matches_loop_construction(self, shape, make, wrap):
+        g = make(*shape)
+        ref, n_edges = _loop_adjacency(*shape, wrap)
+        assert g.n_edges == n_edges
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(g.adjacency, name), getattr(ref, name))
+        assert g.edge_list_text() == FiniteGraph(
+            g.n_vertices, ref, g.degrees, n_edges
+        ).edge_list_text()
+
     def test_torus_3x3(self):
         g = torus_graph(3, 3)
         assert g.n_vertices == 9
@@ -174,11 +206,61 @@ class TestNormalizedLogZeta:
         z = ihara_zeta_finite(g, u)
         assert abs(normalized_log_zeta(g, u) - cmath.log(z) / 16) < 1e-12
 
-    def test_evaluation_record(self):
-        g = torus_graph(3, 3)
-        rec = evaluate_zeta(g, 0.05)
-        assert rec.u == 0.05
-        assert abs(rec.log_zeta_per_vertex - cmath.log(rec.zeta) / 9) < 1e-12
+
+def _dense_slogdet_log_zeta(g, u):
+    """v * log zeta of a grid from a dense Bass matrix reduced by slogdet."""
+    a = g.adjacency.toarray()
+    bass = np.eye(g.n_vertices) - u * a + u * u * np.diag(g.degrees - 1)
+    sign, logabs = np.linalg.slogdet(bass)
+    return -(g.n_edges - g.n_vertices) * cmath.log(1 - u * u) - (logabs + 1j * cmath.phase(sign))
+
+
+_EDGE = 0.999 * GRID_LIMIT_RADIUS
+
+
+class TestBandedGridKernel:
+    @pytest.mark.parametrize("shape", [(3, 7), (7, 3), (12, 12)])
+    @pytest.mark.parametrize(
+        "u",
+        [0.1, _EDGE, -_EDGE, 0.05 + 0.08j, cmath.rect(_EDGE, 0.7), cmath.rect(_EDGE, -2.5),
+         _EDGE * 1j],
+    )
+    def test_matches_dense_slogdet(self, shape, u):
+        g = grid_graph(*shape)
+        diff = g.n_vertices * normalized_log_zeta(g, u) - _dense_slogdet_log_zeta(g, u)
+        assert abs(diff.real) < 1e-10
+        assert abs(math.remainder(diff.imag, 2 * math.pi)) < 1e-10
+
+    def test_real_u_gives_real_value(self):
+        assert normalized_log_zeta(grid_graph(5, 9), -0.1).imag == 0.0
+
+    @pytest.mark.parametrize("shape, u", [((6, 6), 0.5), ((3, 3), -0.7), ((3, 3), -0.9 - 0.9j)])
+    def test_branch_loss_is_refused(self, shape, u):
+        # without the grid label the radius guard is off; at these u the matrix
+        # is not diagonally dominant: on 3x3 at -0.7 elimination swaps rows
+        # with every pivot positive, at -0.9-0.9i it swaps none but a pivot
+        # leaves the right half-plane
+        g = dataclasses.replace(grid_graph(*shape), family="")
+        with pytest.raises(BranchAmbiguityError):
+            normalized_log_zeta(g, u)
+
+    @pytest.mark.parametrize("u, size", [(0.1, 250), (0.05 + 0.05j, 200)])
+    def test_band_cap_refuses_quickly(self, u, size):
+        g = grid_graph(size, size)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="cap"):
+            normalized_log_zeta(g, u)
+        assert time.perf_counter() - start < 0.5
+
+    def test_convergence_table_refuses_before_building(self, monkeypatch):
+        def no_build(n, m):
+            raise AssertionError("a graph was built before the size check")
+
+        monkeypatch.setattr(finite_graphs, "grid_graph", no_build)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="cap"):
+            convergence_table("grid", 0.05 + 0.05j, [8, 2000])
+        assert time.perf_counter() - start < 0.5
 
 
 class TestConvergenceTable:

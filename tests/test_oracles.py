@@ -75,6 +75,11 @@ class TestReducedQuadrature:
         v = log_det_1d_quadrature(0.25)
         assert abs(v.imag) < 1e-13
 
+    @pytest.mark.parametrize("u", [0.57j, 0.577j])
+    def test_agrees_near_the_imaginary_slit(self, u):
+        # |integral| is 6 to 11 here, so only a relative error bound accepts it
+        assert abs(log_det_1d_quadrature(u) - log_det_torus_quadrature(u)) < 1e-10
+
 
 class TestZintIdentity:
     def test_zero(self):
