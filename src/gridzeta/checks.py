@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import expansions, oracles, special, surface
 from .powerseries import ExactSeries
@@ -38,6 +37,8 @@ class CheckResult:
 
 
 def _elliptic_k_quadrature(k: float) -> float:
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda w: 1.0 / math.sqrt(1.0 - (k * k) * math.sin(w) ** 2),
         0.0,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from .checks import FAULT_MODES, run_all_checks
 from .errors import DomainError, GridZetaError, InvariantError, PrecisionError
 from .finite_graphs import convergence_table, convergence_table_csv
 from .regions import classify_u
-from .special import modulus_from_t, modulus_from_u, nome_t_from_u, u_pair_from_t
+from .special import modulus_from_u, nome_t_from_u, u_pair_from_t
 
 EXIT_DOMAIN = 2
 EXIT_PRECISION = 3
@@ -128,7 +129,15 @@ def cmd_eval(args) -> int:
         z = oracles.zeta_via_quadrature(u, spec)
         t = nome_t_from_u(u) if u != 0 else 0j
     elif args.route == "series":
-        z = expansions.zeta_series(max(args.order // 2, 1)).evaluate(u)
+        if abs(u) >= 1.0 / 3.0:
+            raise DomainError("the series route converges only for |u| < 1/3")
+        max_m = max(args.order // 2, 1)
+        tail = expansions.zeta_series_tail_bound(2 * max_m, abs(u))
+        if tail > args.tol:
+            raise PrecisionError(
+                f"series tail past u^{2 * max_m} may reach {tail:.3e}, above --tol {args.tol:.0e}"
+            )
+        z = expansions.zeta_series(max_m).evaluate(u)
         sigma = surface.lift_principal(u)
         t = sigma.t
     else:
@@ -143,7 +152,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_series(args) -> int:
-    max_m = max(args.order // 2, 1)
+    if args.order < 2:
+        raise DomainError("series needs --order >= 2")
+    max_m = args.order // 2
     tl = expansions.trlog_series(max_m)
     det = expansions.det_series(max_m)
     z = expansions.zeta_series(max_m)
@@ -245,7 +256,7 @@ def cmd_sheets(args) -> int:
                 "t": sigma.t,
                 "u": sigma.u,
                 "zeta": z,
-                "relation_residual": abs(modulus_from_u(sigma.u) - modulus_from_t(sigma.t)),
+                "relation_residual": abs(modulus_from_u(sigma.u) - sigma.k),
                 "functional_equation_residual": surface.functional_equation_residual(sigma),
             }
         )
@@ -389,9 +400,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_args(args):
+    """Refuse numeric flags outside their range instead of clamping them."""
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise DomainError(f"--tol must be a positive finite number, got {args.tol!r}")
+    if args.order < 0:
+        raise DomainError(f"--order must be >= 0, got {args.order}")
+    if getattr(args, "depth", 0) < 0:
+        raise DomainError(f"--depth must be >= 0, got {args.depth}")
+    if getattr(args, "samples", 1) < 1:
+        raise DomainError(f"--samples must be >= 1, got {args.samples}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except InvariantError as exc:
         print(json.dumps({"error": str(exc), "type": "invariant"}), file=sys.stderr)

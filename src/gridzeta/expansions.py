@@ -13,11 +13,13 @@ q = t^2) vanishing at 0.  Composing everything as exact series must reproduce
 the combinatorial zeta series coefficient for coefficient; that equality is
 the central exact cross-check of this package.
 
-Everything in this module is exact rational arithmetic; no floats.
+Everything in this module is exact rational arithmetic, except the float
+bound `zeta_series_tail_bound` on what a truncated zeta series leaves out.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import comb
 
@@ -29,6 +31,7 @@ __all__ = [
     "trlog_series",
     "det_series",
     "zeta_series",
+    "zeta_series_tail_bound",
     "theta_series_exact",
     "theta_product_series",
     "modulus_t_series",
@@ -79,6 +82,26 @@ def zeta_series(max_M: int) -> ExactSeries:
     order = 2 * max_M
     det = det_series(max_M)
     return (_one_minus_u2(order) * det).reciprocal()
+
+
+def zeta_series_tail_bound(order: int, r: float) -> float:
+    """Bound on the sum over j > order of |z_j| r^j, z_j the u^j coefficients of Z.
+
+    A geodesic of length m has 4 first steps and at most 3 for each later
+    one, so 0 <= N_m <= 4 * 3^(m-1) and log Z = sum N_m u^m / m is dominated
+    coefficientwise by -(4/3) log(1 - 3u); hence Z is dominated by
+    (1 - 3u)^(-4/3) = sum b_j u^j, with b_j = b_(j-1) (3j + 1) / j.  The ratio
+    of consecutive terms b_j r^j falls with j, so past j = order + 1 the tail
+    is a geometric series.  Infinite when that ratio is not below 1.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    r = abs(r)
+    term = 1.0  # b_j r^j, taken to j = order + 1
+    for j in range(1, order + 2):
+        term *= r * (3 * j + 1) / j
+    ratio = r * (3 * order + 7) / (order + 2)
+    return term / (1.0 - ratio) if ratio < 1.0 else math.inf
 
 
 def theta_series_exact(order: int):

@@ -16,10 +16,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .errors import (
     BranchAmbiguityError,
@@ -28,6 +27,9 @@ from .errors import (
     PoleError,
 )
 from .regions import is_in_omega
+
+if TYPE_CHECKING:  # scipy is imported where it is used, not with the package
+    import scipy.sparse
 
 __all__ = [
     "FiniteGraph",
@@ -80,6 +82,8 @@ class FiniteGraph:
 
     def edge_list_text(self) -> str:
         """One 'i j' pair per undirected edge, i < j."""
+        import scipy.sparse
+
         coo = scipy.sparse.triu(self.adjacency, k=1).tocoo()
         return "\n".join(f"{i} {j}" for i, j in zip(coo.row, coo.col))
 
@@ -87,6 +91,8 @@ class FiniteGraph:
 def _product_graph(n: int, m: int, wrap: bool, family: str) -> FiniteGraph:
     """Row-major product graph: each vertex (i, j) links down to (i+1, j) and
     right to (i, j+1), cyclically when `wrap`, edges listed vertex by vertex."""
+    import scipy.sparse
+
     i, j = np.divmod(np.arange(n * m), m)
     down, right = (i + 1) % n, (j + 1) % m
     src = np.repeat(i * m + j, 2)
@@ -206,6 +212,8 @@ def _log_det_banded(g: FiniteGraph, u: complex) -> complex:
     ab = np.zeros((3 * k + 1, g.n_vertices), dtype=dtype, order="F")
     ab[2 * k + coo.row - coo.col, coo.col] = -x * coo.data
     ab[2 * k] = 1.0 + (x * x) * (g.degrees - 1)
+    import scipy.linalg
+
     (gbtrf,) = scipy.linalg.get_lapack_funcs(("gbtrf",), (ab,))
     lu, piv, info = gbtrf(ab, k, k, overwrite_ab=True)
     pivots = lu[2 * k]

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, PrecisionError
 from .regions import is_in_omega
@@ -136,6 +135,8 @@ def log_det_1d_quadrature(u, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> compl
         return 0.0j
     if not is_in_omega(u):
         raise DomainError("the reduced integral is valid only on the principal region")
+    from scipy.integrate import quad
+
     k = modulus_from_u(u)
     k2 = k * k
 

@@ -42,6 +42,7 @@ __all__ = [
     "modulus_from_u",
     "modulus_from_t",
     "nome_t_from_u",
+    "u_pair_from_modulus",
     "u_pair_from_t",
 ]
 
@@ -257,21 +258,32 @@ def modulus_from_u(u) -> complex:
 
 
 def modulus_from_t(t, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """The modulus k = theta2^2(t) / theta3^2(t^2), analytic in t on the disk."""
+    """The modulus k = theta2^2(t) / theta3^2(t^2), analytic in t on the disk.
+
+    theta2^2 comes from the half-integer series (about 19 terms at |t| = 0.95,
+    where the product form needs about 190 factors); the product form stays
+    the independent cross-check.
+    """
     t = complex(t)
     th3 = theta3(t * t, policy)
-    return theta2_sq(t, policy) / (th3 * th3)
+    return theta2_sq_from_series(t, policy) / (th3 * th3)
 
 
 def _nome_t_from_modulus(k: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Solve theta2^2(t)/theta3^2(t^2) = k for the principal t.
+    """Solve theta2^2(t)/theta3^2(t^2) = k for the principal t."""
+    return _nome_t_and_modulus(k, policy)[0]
+
+
+def _nome_t_and_modulus(k: complex, policy: TruncationPolicy = DEFAULT_POLICY):
+    """The principal t with theta2^2(t)/theta3^2(t^2) = k, and k(t) itself.
 
     Route: tau = i K(k') / K(k) with principal square roots, t = exp(i pi tau / 2).
     K depends on k^2 only, so the sign of k' is immaterial; the sign of t is
-    fixed afterwards by matching the (odd) analytic modulus map.
+    fixed afterwards by matching the (odd) analytic modulus map, whose value
+    at the returned t is returned with it.
     """
     if k == 0:
-        return 0.0j
+        return 0.0j, 0.0j
     kk = _elliptic_k_unchecked(k)
     kp = _elliptic_k_unchecked(cmath.sqrt(1.0 - k * k))
     tau = 1j * kp / kk
@@ -288,7 +300,7 @@ def _nome_t_from_modulus(k: complex, policy: TruncationPolicy = DEFAULT_POLICY) 
         raise PrecisionError(
             "nome did not reproduce the modulus (residual %.3e)" % abs(kt - k)
         )
-    return t
+    return t, kt
 
 
 def nome_t_from_u(u, policy: TruncationPolicy = DEFAULT_POLICY, region_check: bool = True) -> complex:
@@ -314,12 +326,14 @@ def u_pair_from_t(t, policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[complex
     The two roots satisfy u_plus * u_minus = 1/3; u_minus is the one of
     smaller magnitude (the branch with u_minus -> 0 as t -> 0).
     """
-    t = complex(t)
-    if t == 0:
-        raise DomainError("u_pair_from_t requires t != 0 (k(t) = 0 only at t = 0)")
-    if abs(t) >= 1.0:
-        raise DomainError("u_pair_from_t requires |t| < 1")
-    k = modulus_from_t(t, policy)
+    return u_pair_from_modulus(modulus_from_t(t, policy))
+
+
+def u_pair_from_modulus(k) -> tuple[complex, complex]:
+    """Both solutions u of 4u/(1+3u^2) = k, as (u_plus, u_minus), for k != 0."""
+    k = complex(k)
+    if k == 0:
+        raise DomainError("the root pair needs k != 0 (k(t) = 0 only at t = 0)")
     disc = 4.0 - 3.0 * k * k
     if abs(disc) < 1e-8:
         raise BranchPointError("modulus at a branch point k = +-2/sqrt(3)")

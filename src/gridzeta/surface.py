@@ -18,15 +18,20 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import BranchAmbiguityError, DomainError, PrecisionError
-from .expansions import f_and_F_series
 from .regions import RegionTag, classify_u
-from .special import modulus_from_t, modulus_from_u, nome_t_from_u, u_pair_from_t
+from .special import (
+    _nome_t_and_modulus,
+    modulus_from_t,
+    modulus_from_u,
+    nome_t_from_u,
+    u_pair_from_modulus,
+)
 
 __all__ = [
     "SurfacePoint",
@@ -50,17 +55,28 @@ T_CAP = 0.95  # precision cap on |t| for series evaluation
 
 @dataclass(frozen=True)
 class SurfacePoint:
-    """A point sigma = (u, t) on the uniformizing surface."""
+    """A point sigma = (u, t) on the uniformizing surface.
+
+    `k` is the modulus k(t), kept from validation so that callers need not
+    evaluate the theta ratio again; it takes no part in equality, hashing,
+    repr or the JSON form.
+    """
 
     u: complex
     t: complex
+    k: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u = complex(self.u)
-        t = complex(self.t)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "u", complex(self.u))
+        object.__setattr__(self, "t", complex(self.t))
+        self._validate(None)
+
+    def _validate(self, k):
+        """Check the modulus relation and the branch guard, and store k(t);
+        `k` is k(t) when the caller already has it, else None."""
+        u, t = self.u, self.t
         if u == 0 and t == 0:
+            object.__setattr__(self, "k", 0.0j)
             return
         if abs(t) >= 1.0:
             raise DomainError("surface points require |t| < 1")
@@ -68,13 +84,14 @@ class SurfacePoint:
             ku = modulus_from_u(u)
         except DomainError as exc:
             raise DomainError(f"invalid surface point: {exc}") from exc
-        kt = modulus_from_t(t)
-        if abs(ku - kt) > RELATION_TOL:
+        kt = modulus_from_t(t) if k is None else k
+        if abs(ku - kt) > RELATION_TOL * max(1.0, abs(kt)):
             raise DomainError(
                 "surface relation violated: |k(u) - k(t)| = %.3e" % abs(ku - kt)
             )
         if abs(4.0 - 3.0 * kt * kt) < BRANCH_GUARD:
             raise DomainError("surface point too close to a branch point k = +-2/sqrt(3)")
+        object.__setattr__(self, "k", kt)
 
     @property
     def is_origin(self) -> bool:
@@ -91,6 +108,16 @@ class SurfacePoint:
 ORIGIN = SurfacePoint(0.0, 0.0)
 
 
+def _surface_point(u: complex, t: complex, k: complex) -> SurfacePoint:
+    """SurfacePoint(u, t) for a t whose modulus k = k(t) is already known;
+    every check of the public constructor still runs."""
+    sigma = object.__new__(SurfacePoint)
+    object.__setattr__(sigma, "u", u)
+    object.__setattr__(sigma, "t", t)
+    sigma._validate(k)
+    return sigma
+
+
 def lift_principal(u) -> SurfacePoint:
     """Lift u in the principal region to the surface, with t ~ u near 0."""
     u = complex(u)
@@ -100,14 +127,16 @@ def lift_principal(u) -> SurfacePoint:
         raise DomainError(
             "lift_principal needs u in the principal region; reach other u through deck words"
         )
-    return SurfacePoint(u, nome_t_from_u(u, region_check=False))
+    t, k = _nome_t_and_modulus(modulus_from_u(u))
+    return _surface_point(u, t, k)
 
 
 def involution(sigma: SurfacePoint) -> SurfacePoint:
     """The involution (u, t) -> (1/(3u), t) carrying the functional equation."""
     if sigma.is_origin:
         raise DomainError("the involution is undefined at the removable point (0, 0)")
-    return SurfacePoint(1.0 / (3.0 * sigma.u), sigma.t)
+    # k(1/(3u)) = k(u): the involution keeps t and the modulus
+    return _surface_point(1.0 / (3.0 * sigma.u), sigma.t, sigma.k)
 
 
 # -- deck transformations -----------------------------------------------------
@@ -190,9 +219,6 @@ class DeckWord:
         )
 
 
-IDENTITY_WORD = DeckWord()
-
-
 def deck_transform(sigma: SurfacePoint, word: DeckWord, t_cap: float = T_CAP) -> SurfacePoint:
     """Move sigma to another sheet over the same u.
 
@@ -213,52 +239,77 @@ def deck_transform(sigma: SurfacePoint, word: DeckWord, t_cap: float = T_CAP) ->
     t2 = cmath.exp(0.5j * math.pi * tau2)
     if abs(t2) >= t_cap:
         raise PrecisionError("transformed sheet too close to the unit circle for evaluation")
-    k_old = modulus_from_t(sigma.t)
+    k_old = sigma.k
     k_new = modulus_from_t(t2)
     if abs(k_new - k_old) > 1e-9 * max(1.0, abs(k_old)):
         raise BranchAmbiguityError(
             "deck transform failed to preserve the modulus (drift %.3e)" % abs(k_new - k_old)
         )
-    u_a, u_b = u_pair_from_t(t2)
+    u_a, u_b = u_pair_from_modulus(k_new)
     if min(abs(sigma.u - u_a), abs(sigma.u - u_b)) > 1e-8 * max(1.0, abs(sigma.u)):
         raise BranchAmbiguityError("neither candidate root continues the u fiber")
-    return SurfacePoint(sigma.u, t2)
+    return _surface_point(sigma.u, t2, k_new)
 
 
 # -- the extended zeta function ----------------------------------------------
 
 F_SERIES_ORDER = 1024
+F_TAIL_TOL = 1e-14  # bound on the dropped tail of the F series
 
 
 @lru_cache(maxsize=4)
 def _F_even_coeffs(order: int):
-    """Float coefficients c with F(t) = sum c[j] (t^2)^j, from the exact series."""
-    _, F = f_and_F_series(order)
-    if not F.is_even():
-        raise PrecisionError("primitive series lost evenness")  # pragma: no cover
-    return np.array(F.float_coeffs()[0::2], dtype=np.float64)
+    """Coefficients c with F(t) = sum c[j] (t^2)^j, as a float list, and the
+    suffix maxima max(|c[i]| for i >= j) that bound the tail from j on.
+
+    theta3^2 theta4^4 = sum p_j q^j has integer coefficients (|p_j| < 1.1e6
+    through q^512), so an int64 convolution gives them exactly, and
+    F' = (1 - theta3^2 theta4^4)/t at q = t^2 makes c[j] = -p_j / (2j).
+    """
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    n = order // 2 + 1
+    theta3_q = np.zeros(n, dtype=np.int64)
+    theta3_q[0] = 1
+    theta3_q[np.arange(1, math.isqrt(n - 1) + 1) ** 2] = 2
+    theta4_q = theta3_q.copy()
+    theta4_q[np.arange(1, math.isqrt(n - 1) + 1, 2) ** 2] = -2
+    p = theta3_q
+    for factor in (theta3_q, theta4_q, theta4_q, theta4_q, theta4_q):
+        p = np.convolve(p, factor)[:n]
+    coeffs = np.zeros(n)
+    coeffs[1:] = -p[1:] / (2.0 * np.arange(1, n))
+    suffix_max = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    return coeffs.tolist(), suffix_max.tolist()
 
 
 def F_eval(t, order: int = F_SERIES_ORDER) -> complex:
     """The analytic exponent F(t): series sum with F(0) = 0, real coefficients.
 
     Valid for |t| <= 0.95, where the default truncation order leaves the
-    tail below 1e-14.
+    tail below 1e-14.  Horner runs over the terms before the first j whose
+    tail bound suffix_max[j] |t|^(2j) / (1 - |t|^2) is below 1e-14: 9 terms
+    at |t| = 0.1, 86 at |t| = 0.79, 405 at |t| = 0.95.
     """
     t = complex(t)
     if abs(t) > T_CAP:
         raise PrecisionError("F_eval is limited to |t| <= %.2f" % T_CAP)
     if t == 0:
         return 0.0j
-    coeffs = _F_even_coeffs(order)
+    coeffs, suffix_max = _F_even_coeffs(order)
     w = t * t
+    aw = max(abs(w), 1e-300)  # keeps the log finite where t * t underflows
+    cut = F_TAIL_TOL * (1.0 - aw)
+    # the bound with suffix_max[0] gives a start; the suffix maxima may allow fewer terms
+    n = min(len(coeffs), int(math.log(cut / suffix_max[0]) / math.log(aw)) + 1)
+    while n > 0 and suffix_max[n - 1] * aw ** (n - 1) < cut:
+        n -= 1
     acc = 0.0 + 0.0j
-    for c in coeffs[::-1]:
+    for c in reversed(coeffs[:n]):
         acc = acc * w + c
-    # geometric bound on the dropped tail
-    aw = abs(w)
+    # geometric bound on the tail beyond the computed order
     tail = abs(coeffs[-1]) * aw ** (len(coeffs) - 1) * aw / (1.0 - aw)
-    if tail > 1e-14 * max(1.0, abs(acc)):
+    if tail > F_TAIL_TOL * max(1.0, abs(acc)):
         raise PrecisionError("series order insufficient for the requested |t|")
     return acc
 

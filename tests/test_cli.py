@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -64,6 +67,26 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--u", "0.9", "--route", "theta")
         assert code == 2
         assert json.loads(err)["type"] == "domain"
+
+    def test_series_route_refuses_outside_radius(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--u", "0.5+0.2i", "--route", "series")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["type"] == "domain"
+
+    def test_series_route_refuses_short_order(self, capsys):
+        code, out, err = run_cli(capsys, "--order", "0", "eval", "--u", "0.1", "--route", "series")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["type"] == "precision"
+
+    def test_series_route_long_order_meets_tol(self, capsys):
+        code, out1, _ = run_cli(capsys, "--order", "60", "eval", "--u", "0.2", "--route", "series")
+        assert code == 0
+        _, out2, _ = run_cli(capsys, "eval", "--u", "0.2", "--route", "theta")
+        z1 = complex(*json.loads(out1)["zeta"])
+        z2 = complex(*json.loads(out2)["zeta"])
+        assert abs(z1 - z2) <= 1e-10
 
     def test_precision_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--u", "0.2", "--route", "quadrature",
@@ -211,6 +234,35 @@ class TestCheck:
         assert code == 4
         data = json.loads(out)
         assert data["passed"] is False
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--u", "0.1", "--route", "quadrature", "--tol", "0"),
+            ("series", "--order", "-4"),
+            ("sheets", "--u", "0.15", "--depth", "-1"),
+            ("plot", "--kind", "real_zeta", "--samples", "0"),
+        ],
+    )
+    def test_out_of_range_exits_domain(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["type"] == "domain"
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        import gridzeta
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gridzeta.__file__)))
+        code = "import sys, gridzeta.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert res.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -21,6 +21,7 @@ from gridzeta.expansions import (
     theta_series_exact,
     trlog_series,
     zeta_series,
+    zeta_series_tail_bound,
     zeta_series_via_theta,
 )
 from gridzeta.powerseries import ExactSeries
@@ -171,3 +172,16 @@ def test_series_json_interface():
     text = z.to_json()
     assert '"var": "u"' in text
     assert ExactSeries.from_json(text) == z
+
+
+@pytest.mark.parametrize("order,r", [(0, 0.1), (4, 0.2), (10, 0.3), (20, 0.32)])
+def test_zeta_tail_bound_covers_the_exact_tail(order, r):
+    # the exact coefficients through u^80 give a lower bound of the true tail
+    z = zeta_series(40)
+    seen = sum(float(z[j]) * r**j for j in range(order + 1, 81))
+    assert 0 < seen <= zeta_series_tail_bound(order, r)
+
+
+def test_zeta_tail_bound_edges():
+    assert zeta_series_tail_bound(10, 0.0) == 0.0
+    assert zeta_series_tail_bound(4, 1 / 3) == float("inf")

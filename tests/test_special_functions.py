@@ -27,6 +27,7 @@ from gridzeta.special import (
     theta3_product,
     theta4,
     theta4_product,
+    u_pair_from_modulus,
     u_pair_from_t,
 )
 
@@ -276,6 +277,12 @@ class TestUPair:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             u_pair_from_t(0)
+        with pytest.raises(DomainError):
+            u_pair_from_modulus(0)
+
+    def test_wrapper_of_modulus_roots(self):
+        t = 0.3 - 0.2j
+        assert u_pair_from_t(t) == u_pair_from_modulus(modulus_from_t(t))
 
     def test_branch_point_guard(self):
         # the branch points k = +-2/sqrt(3) live at complex t; Newton from the
@@ -290,3 +297,14 @@ class TestUPair:
         assert abs(modulus_from_t(t) - target) < 1e-12
         with pytest.raises(BranchPointError):
             u_pair_from_t(t)
+
+
+class TestModulusFromT:
+    def test_series_route_matches_product_ratio(self):
+        # modulus_from_t takes theta2^2 from the half-integer series; the
+        # product form is the independent route
+        for i in range(1, 20):
+            for j in range(16):
+                t = cmath.rect(min(0.05 * i, 0.95), 2 * math.pi * j / 16)
+                expected = theta2_sq(t) / theta3(t * t) ** 2
+                assert abs(modulus_from_t(t) - expected) <= 1e-13 * max(1.0, abs(expected))

@@ -4,13 +4,17 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
+from gridzeta import special, surface
 from gridzeta.errors import DomainError, PrecisionError
 from gridzeta.regions import RegionTag, classify_u, is_in_omega
-from gridzeta.special import modulus_from_t, modulus_from_u
+from gridzeta.special import modulus_from_t, modulus_from_u, u_pair_from_t
 from gridzeta.surface import (
     DECK_GENERATORS,
+    F_SERIES_ORDER,
+    T_CAP,
     DeckWord,
     F_eval,
     SurfacePoint,
@@ -22,6 +26,13 @@ from gridzeta.surface import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+# |t| from 0.05 to just under the 0.95 cap, at 16 angles
+T_RING = [
+    cmath.rect(min(0.05 * i, T_CAP * (1 - 1e-12)), 2 * math.pi * j / 16)
+    for i in range(1, 20)
+    for j in range(16)
+]
 
 
 class TestClassify:
@@ -66,6 +77,31 @@ class TestSurfacePoint:
         assert set(data) == {"u", "t"}
         back = SurfacePoint.from_json_dict(data)
         assert back == s
+
+    def test_cached_modulus_left_out_of_identity(self):
+        s = lift_principal(0.1 + 0.05j)
+        assert abs(s.k - modulus_from_t(s.t)) < 1e-15
+        fresh = SurfacePoint(s.u, s.t)
+        assert fresh == s and hash(fresh) == hash(s)
+        assert repr(fresh) == repr(s) and "k=" not in repr(s)
+        data = s.to_json_dict()
+        assert set(data) == {"u", "t"}
+        back = SurfacePoint.from_json_dict(data)
+        assert back == s and hash(back) == hash(s)
+
+    def test_relation_tolerance_scales_with_k(self):
+        # |k| ~ 2.2e4 here, so the residual 5.9e-10 is rounding, not a wrong point
+        from gridzeta.oracles import log_det_1d_quadrature
+
+        u = 0.57732j
+        z = zeta_tilde(lift_principal(u))
+        expected = cmath.exp(-log_det_1d_quadrature(u)) / (1 - u * u)
+        assert abs(z - expected) <= 1e-10 * abs(expected)
+
+    def test_both_roots_accepted_at_large_k(self):
+        t = -0.10521999350355482 + 0.82761477123859j
+        for u in u_pair_from_t(t):
+            assert SurfacePoint(u, t).t == t
 
     def test_branch_point_rejected(self):
         # a point satisfying the modulus relation but sitting at k = 2/sqrt(3)
@@ -163,6 +199,36 @@ class TestDeckTransforms:
         with pytest.raises(DomainError):
             deck_transform(SurfacePoint(0, 0), DeckWord.from_letters((2,)))
 
+    def test_result_carries_its_modulus(self):
+        s2 = deck_transform(lift_principal(0.15), DeckWord.from_letters((2,)))
+        assert s2.k == modulus_from_t(s2.t)
+        assert s2 == SurfacePoint(s2.u, s2.t)
+
+
+class TestOneModulusPerPoint:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+        original = special.modulus_from_t
+
+        def counting(t, *args, **kwargs):
+            log.append(t)
+            return original(t, *args, **kwargs)
+
+        monkeypatch.setattr(special, "modulus_from_t", counting)
+        monkeypatch.setattr(surface, "modulus_from_t", counting)
+        return log
+
+    def test_lift_principal(self, calls):
+        lift_principal(0.2 + 0.1j)
+        assert len(calls) == 1
+
+    def test_deck_transform(self, calls):
+        base = lift_principal(0.15)
+        del calls[:]
+        deck_transform(base, DeckWord.from_letters((-2,)))
+        assert len(calls) == 1
+
 
 class TestFEval:
     def test_at_zero(self):
@@ -190,6 +256,22 @@ class TestFEval:
     def test_cap(self):
         with pytest.raises(PrecisionError):
             F_eval(0.97)
+
+    def test_integer_coefficients_equal_exact_series(self):
+        from gridzeta.expansions import f_and_F_series
+
+        _, F = f_and_F_series(F_SERIES_ORDER)
+        coeffs, _ = surface._F_even_coeffs(F_SERIES_ORDER)
+        assert np.array_equal(np.array(coeffs), np.array(F.float_coeffs()[0::2]))
+
+    def test_truncated_sum_matches_full_sum(self):
+        coeffs, _ = surface._F_even_coeffs(F_SERIES_ORDER)
+        for t in T_RING:
+            w = t * t
+            full = 0j
+            for c in reversed(coeffs):
+                full = full * w + c
+            assert abs(F_eval(t) - full) <= 1e-14 * max(1.0, abs(full))
 
 
 class TestZetaPrincipal:
