@@ -9,6 +9,7 @@ Output is JSON by default (17 significant digits, complex numbers as
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ from .checks import FAULT_MODES, run_all_checks
 from .errors import DomainError, GridZetaError, InvariantError, PrecisionError
 from .finite_graphs import convergence_table, convergence_table_csv
 from .regions import classify_u
-from .special import modulus_from_u, nome_t_from_u, u_pair_from_t
+from .special import modulus_from_t, modulus_from_u, nome_t_from_u, u_pair_from_modulus
 
 EXIT_DOMAIN = 2
 EXIT_PRECISION = 3
@@ -34,7 +35,7 @@ def parse_complex(text: str) -> complex:
         raise DomainError("empty complex literal")
     if not s.endswith("i"):
         try:
-            return complex(float(s), 0.0)
+            return _finite_literal(complex(float(s), 0.0), text)
         except ValueError as exc:
             raise DomainError(f"cannot parse complex literal {text!r}") from exc
     body = s[:-1]
@@ -57,7 +58,13 @@ def parse_complex(text: str) -> complex:
         real = float(real_part) if real_part else 0.0
     except ValueError as exc:
         raise DomainError(f"cannot parse complex literal {text!r}") from exc
-    return complex(real, imag)
+    return _finite_literal(complex(real, imag), text)
+
+
+def _finite_literal(z: complex, text: str) -> complex:
+    if not cmath.isfinite(z):
+        raise DomainError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def _fmt(x: float) -> str:
@@ -188,8 +195,9 @@ def _plot_sheets_abs(args):
             if not 1e-3 < abs(t) <= args.radius:
                 continue
             try:
-                for u in u_pair_from_t(t):
-                    z = surface.zeta_tilde(surface.SurfacePoint(u, t))
+                k = modulus_from_t(t)
+                for u in u_pair_from_modulus(k):
+                    z = surface.zeta_tilde(surface._surface_point(u, t, k))
                     print(
                         f"{_fmt(t.real)},{_fmt(t.imag)},{_fmt(u.real)},{_fmt(u.imag)},{_fmt(abs(z))}"
                     )

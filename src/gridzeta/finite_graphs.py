@@ -4,7 +4,8 @@ The zeta function of a finite graph is the reciprocal of
 (1-u^2)^(e-v) det(I - Au + (Deg - I) u^2); for the 4-regular torus the
 determinant factors over the explicit Fourier eigenvalues
 2 cos(2 pi j / n) + 2 cos(2 pi l / m) of the adjacency operator, giving a
-second, structurally independent evaluation route.
+second, structurally independent evaluation route.  Both families are
+Cartesian products, so one separable kernel gives their normalized log zeta.
 
 Normalized by vertex count, the log zeta of growing torus or grid graphs
 converges to the log zeta of the infinite lattice; `convergence_table`
@@ -20,12 +21,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    BranchAmbiguityError,
-    ConditioningError,
-    DomainError,
-    PoleError,
-)
+from .errors import (BranchAmbiguityError, ConditioningError, DomainError,
+                     IterationLimitError, PoleError)
 from .regions import is_in_omega
 
 if TYPE_CHECKING:  # scipy is imported where it is used, not with the package
@@ -50,8 +47,9 @@ GRID_LIMIT_RADIUS = 1.0 / (4.0 + math.sqrt(22.0))
 
 _DENSE_CAP = 4096
 
-# the banded log-determinant refuses a band array larger than this
-_BAND_CAP_BYTES = 256 * 2**20
+_VERTEX_CAP = 2**24  # no larger product graph is built or summed
+_CHUNK = 2**16  # factors per block of its row-chunked sum
+_NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -88,16 +86,17 @@ class FiniteGraph:
         return "\n".join(f"{i} {j}" for i, j in zip(coo.row, coo.col))
 
 
-def _product_graph(n: int, m: int, wrap: bool, family: str) -> FiniteGraph:
+def _product_graph(n: int, m: int, family: str) -> FiniteGraph:
     """Row-major product graph: each vertex (i, j) links down to (i+1, j) and
-    right to (i, j+1), cyclically when `wrap`, edges listed vertex by vertex."""
+    right to (i, j+1), cyclically on the torus, edges listed vertex by vertex."""
+    _check_shape(family, n, m)
     import scipy.sparse
 
     i, j = np.divmod(np.arange(n * m), m)
     down, right = (i + 1) % n, (j + 1) % m
     src = np.repeat(i * m + j, 2)
     dst = np.column_stack((down * m + j, i * m + right)).ravel()
-    if not wrap:
+    if family != "torus":
         keep = np.column_stack((i + 1 < n, j + 1 < m)).ravel()
         src, dst = src[keep], dst[keep]
     rows, cols = np.concatenate((src, dst)), np.concatenate((dst, src))
@@ -109,16 +108,12 @@ def _product_graph(n: int, m: int, wrap: bool, family: str) -> FiniteGraph:
 
 def grid_graph(n: int, m: int) -> FiniteGraph:
     """Cartesian product of two paths: the n-by-m square grid graph."""
-    if n < 2 or m < 2:
-        raise DomainError("grid_graph needs n, m >= 2")
-    return _product_graph(n, m, False, "grid")
+    return _product_graph(n, m, "grid")
 
 
 def torus_graph(n: int, m: int) -> FiniteGraph:
     """Cartesian product of two cycles: the 4-regular n-by-m torus graph."""
-    if n < 3 or m < 3:
-        raise DomainError("torus_graph needs n, m >= 3 (smaller cycles are not simple)")
-    return _product_graph(n, m, True, "torus")
+    return _product_graph(n, m, "torus")
 
 
 def torus_adjacency_eigenvalues(n: int, m: int) -> np.ndarray:
@@ -187,93 +182,96 @@ def finite_functional_equation_residual(g: FiniteGraph, u) -> float:
     return abs(z_there - rhs) / abs(z_there)
 
 
-def _band_dtype(k: int, n_vertices: int, u: complex) -> np.dtype:
-    """dtype of the band array at this u, refusing one over the size cap."""
-    dtype = np.dtype(np.float64 if u.imag == 0.0 else np.complex128)
-    nbytes = (3 * k + 1) * n_vertices * dtype.itemsize
-    if nbytes > _BAND_CAP_BYTES:
-        raise DomainError(f"band array needs {nbytes >> 20} MiB, "
-                          f"over the {_BAND_CAP_BYTES >> 20} MiB cap")
-    return dtype
+def _spectrum(family: str, n: int, x) -> np.ndarray:
+    """The n eigenvalues 2x^2 - 2x cos(theta) of x^2 D_1 - x A_1 on the n-cycle
+    (family 'torus', theta = 2 pi j/n) or else on the n-vertex path, where
+    Newton finds each root theta_k of sin((n+1)t) - 2x sin(nt) + x^2 sin((n-1)t)
+    from k pi/(n+1) (Yueh, Appl. Math. E-Notes 5, 2005).  Roots within half a
+    spacing of their starts are distinct, hence the whole spectrum."""
+    if family == "torus":
+        return 2.0 * x * x - 2.0 * x * np.cos(2.0 * np.pi * np.arange(n) / n)
+    start = np.arange(1, n + 1) * (np.pi / (n + 1))
+    theta, p, q = start, 1.0 + x * x, 1.0 - x * x
+    for _ in range(_NEWTON_STEPS):
+        s1, c1, sn, cn = np.sin(theta), np.cos(theta), np.sin(n * theta), np.cos(n * theta)
+        a, b = p * c1 - 2.0 * x, q * s1
+        step = (sn * a + cn * b) / (n * (cn * a - sn * b) - p * sn * s1 + q * cn * c1)
+        theta = theta - step
+        if np.max(np.abs(step)) <= 1e-12:
+            break
+    else:
+        raise IterationLimitError(f"Newton did not converge on the {n}-vertex path spectrum")
+    if np.max(np.abs(theta - start)) >= 0.5 * np.pi / (n + 1):
+        raise BranchAmbiguityError(f"a root of the {n}-vertex path left its bracket")
+    return 2.0 * x * x - 2.0 * x * np.cos(theta)
 
 
-def _log_det_banded(g: FiniteGraph, u: complex) -> complex:
-    """log det(I - Au + (Deg-I)u^2) from the pivots of one banded LU.
+def _check_shape(family: str, n: int, m: int) -> None:
+    low = 3 if family == "torus" else 2  # smaller cycles are not simple
+    if n < low or m < low:
+        raise DomainError(f"the {family} family needs n, m >= {low}")
+    if n * m > _VERTEX_CAP:
+        raise DomainError(f"{n}x{m} has {n * m} vertices, over the cap of {_VERTEX_CAP}")
 
-    In LAPACK band form the diagonal sits on row 2k for bandwidth k.  Where
-    the matrix is column diagonally dominant (|u| < 0.215 at degree <= 4)
-    elimination swaps no rows and every pivot stays in the right half-plane,
-    so their principal logs sum to the branch continuous from u = 0.
+
+def _normalized_log_zeta(family: str, n: int, m: int, u: complex) -> complex:
+    """(log zeta)/v of the n-by-m torus (family 'torus') or grid (any other).
+
+    I - uA + u^2(D - I) = (1 - u^2)I + B_n (x) I + I (x) B_m, B = u^2 D_1 - uA_1,
+    so log det sums log(1 - u^2 + beta_i + beta_j), a block of rows at a time
+    (memory O(n + m)).  Only while every factor stays in the right half-plane
+    do the principal logs add up to the branch continuous from u = 0.
     """
-    coo = g.adjacency.tocoo()
-    k = int(np.abs(coo.row - coo.col).max(initial=0))
-    dtype = _band_dtype(k, g.n_vertices, u)
-    x = u.real if dtype.kind == "f" else u
-    ab = np.zeros((3 * k + 1, g.n_vertices), dtype=dtype, order="F")
-    ab[2 * k + coo.row - coo.col, coo.col] = -x * coo.data
-    ab[2 * k] = 1.0 + (x * x) * (g.degrees - 1)
-    import scipy.linalg
-
-    (gbtrf,) = scipy.linalg.get_lapack_funcs(("gbtrf",), (ab,))
-    lu, piv, info = gbtrf(ab, k, k, overwrite_ab=True)
-    pivots = lu[2 * k]
-    if info != 0 or not np.array_equal(piv, np.arange(g.n_vertices)) or np.any(pivots.real <= 0.0):
-        raise BranchAmbiguityError(
-            "banded elimination swapped rows or left the right half-plane; no coherent log branch"
-        )
-    return complex(np.sum(np.log(pivots)))
+    _check_shape(family, n, m)
+    if family == "torus" and not is_in_omega(u):
+        raise DomainError("torus normalization requires u in the principal region")
+    if family == "grid" and not abs(u) < GRID_LIMIT_RADIUS:
+        raise DomainError("grid normalization is only claimed for |u| < 1/(4+sqrt(22)) ~ 0.115")
+    x = u.real if u.imag == 0.0 else u
+    beta_n = _spectrum(family, n, x)
+    beta_m = beta_n if m == n else _spectrum(family, m, x)
+    rows, log_det = max(1, _CHUNK // m), 0j
+    for i in range(0, n, rows):
+        f = (1.0 - x * x + beta_n[i:i + rows, None]) + beta_m[None, :]
+        if np.any(f.real <= 0.0):
+            raise BranchAmbiguityError("a factor left the right half-plane; no coherent log branch")
+        # log of the modulus and the argument: numpy's complex log is ~10x slower
+        re, im = f.real, f.imag
+        log_det += complex(0.5 * np.sum(np.log(re * re + im * im)), np.sum(np.arctan2(im, re)))
+    e_minus_v = n * m if family == "torus" else n * m - n - m
+    return (-e_minus_v * cmath.log(1.0 - u * u) - log_det) / (n * m)
 
 
 def normalized_log_zeta(g: FiniteGraph, u) -> complex:
-    """(log zeta)/v with the branch continuous along the real-u path from 0.
-
-    Torus graphs use the explicit eigenvalue factors, grids the pivots of a
-    banded LU (capped at 256 MiB of band storage); any factor straying out of
-    the right half-plane raises rather than silently wrapping the branch.
-    """
-    u = complex(u)
-    v, e = g.n_vertices, g.n_edges
-    if g.family == "torus":
-        if not is_in_omega(u):
-            raise DomainError("torus normalization requires u in the principal region")
-        n, m = g.shape
-        factors = 1.0 - torus_adjacency_eigenvalues(n, m) * u + 3.0 * u * u
-        if np.any(factors.real <= 0.0):
-            raise BranchAmbiguityError("an eigenvalue factor left the right half-plane")
-        log_det = complex(np.sum(np.log(factors)))
-    else:
-        if abs(u) >= GRID_LIMIT_RADIUS and g.family == "grid":
-            raise DomainError(
-                "grid normalization is only claimed for |u| < 1/(4+sqrt(22)) ~ 0.115"
-            )
-        log_det = _log_det_banded(g, u)
-    return (-(e - v) * cmath.log(1.0 - u * u) - log_det) / v
+    """(log zeta)/v of a grid or torus graph, with the branch continuous along
+    the real-u path from 0, from its family and shape by the separable kernel;
+    a factor out of the right half-plane raises rather than wrapping the branch."""
+    if len(g.shape) != 2:
+        raise DomainError("normalized_log_zeta needs a grid or torus graph")
+    n, m = g.shape
+    if g.n_edges != 2 * n * m - (0 if g.family == "torus" else n + m):
+        raise DomainError("edge count does not match the graph's family and shape")
+    return _normalized_log_zeta(g.family, n, m, complex(u))
 
 
 def convergence_table(family: str, u, sizes, reference=None) -> list[tuple[int, float]]:
-    """Errors |normalized_log_zeta(G_s) - log Z(u)| for square members of a family.
+    """Errors |normalized_log_zeta(G_s) - log Z(u)| for square members of a family,
+    from the family and size alone (no graph is built).
 
     `reference` defaults to the principal-branch log of the closed-form zeta.
     """
-    u = complex(u)
-    if list(sizes) != sorted(set(sizes)):
+    u, sizes = complex(u), list(sizes)
+    if sizes != sorted(set(sizes)):
         raise DomainError("sizes must be strictly increasing")
     if family not in ("grid", "torus"):
         raise DomainError("family must be 'grid' or 'torus'")
-    if family == "grid":
-        # refuse before building anything: an s-by-s grid has bandwidth s
-        for s in sizes:
-            _band_dtype(s, s * s, u)
+    for s in sizes:  # refuse before computing anything
+        _check_shape(family, s, s)
     if reference is None:
         from .surface import lift_principal, zeta_tilde
 
         reference = cmath.log(zeta_tilde(lift_principal(u)))
-    make = grid_graph if family == "grid" else torus_graph
-    out = []
-    for s in sizes:
-        g = make(s, s)
-        out.append((s, abs(normalized_log_zeta(g, u) - reference)))
-    return out
+    return [(s, abs(_normalized_log_zeta(family, s, s, u) - reference)) for s in sizes]
 
 
 def convergence_table_csv(rows) -> str:

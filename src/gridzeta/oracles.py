@@ -54,6 +54,9 @@ class QuadratureSpec:
 
 DEFAULT_QUADRATURE = QuadratureSpec()
 
+# the torus rule refuses to evaluate a larger outer-by-inner node batch at once
+_NODE_BUDGET = 2**23
+
 
 def _periodic_mean_batch(fvec, tol: float, max_level: int, n0: int = 16):
     """Mean over one period for a batch of smooth periodic integrands.
@@ -96,6 +99,11 @@ def log_det_torus_quadrature(u, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> co
         a = c - 2.0 * u * np.cos(tvals)  # one inner constant per outer node
 
         def fvec(s):
+            if len(a) * len(s) > _NODE_BUDGET:
+                raise PrecisionError(
+                    f"torus quadrature would evaluate {len(a)}x{len(s)} nodes at once, "
+                    f"over the budget of {_NODE_BUDGET}"
+                )
             return np.log(a[:, None] - 2.0 * u * np.cos(s)[None, :])
 
         return _periodic_mean_batch(fvec, tol, spec.max_subdivisions)

@@ -121,6 +121,8 @@ def _surface_point(u: complex, t: complex, k: complex) -> SurfacePoint:
 def lift_principal(u) -> SurfacePoint:
     """Lift u in the principal region to the surface, with t ~ u near 0."""
     u = complex(u)
+    if not cmath.isfinite(u):
+        raise DomainError(f"lift_principal needs a finite u, got {u}")
     if u == 0:
         return ORIGIN
     if classify_u(u) is not RegionTag.IN_OMEGA:

@@ -40,6 +40,13 @@ class TestComplexParsing:
         with pytest.raises(DomainError):
             parse_complex("zork")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "nan+1i", "0.1+infi", "-nani"])
+    def test_non_finite(self, text):
+        from gridzeta.errors import DomainError
+
+        with pytest.raises(DomainError, match="not finite"):
+            parse_complex(text)
+
 
 class TestEval:
     def test_zero_all_routes(self, capsys):
@@ -87,6 +94,14 @@ class TestEval:
         z1 = complex(*json.loads(out1)["zeta"])
         z2 = complex(*json.loads(out2)["zeta"])
         assert abs(z1 - z2) <= 1e-10
+
+    @pytest.mark.parametrize("u", ["nan", "inf"])
+    def test_non_finite_exit_domain(self, capsys, u):
+        code, out, err = run_cli(capsys, "eval", "--u", u)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["type"] == "domain"
+        assert "not finite" in json.loads(err)["error"]
 
     def test_precision_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--u", "0.2", "--route", "quadrature",
@@ -155,6 +170,27 @@ class TestPlot:
             ub = complex(float(b[2]), float(b[3]))
             assert abs(ua * ub - 1 / 3) < 1e-10
 
+    def test_sheets_abs_one_modulus_per_t(self, capsys, monkeypatch):
+        from gridzeta import cli, special, surface
+
+        expected = _sheets_abs_reference(100, 0.5)
+        calls = []
+        original = special.modulus_from_t
+
+        def counting(t, *args, **kwargs):
+            calls.append(t)
+            return original(t, *args, **kwargs)
+
+        for module in (cli, special, surface):
+            monkeypatch.setattr(module, "modulus_from_t", counting)
+        code, out, _ = run_cli(capsys, "plot", "--kind", "sheets_abs",
+                               "--samples", "100", "--radius", "0.5")
+        assert code == 0
+        assert out == expected
+        emitted = {tuple(line.split(",")[:2]) for line in out.splitlines()[1:]}
+        assert len(emitted) > 50
+        assert len(calls) == len(emitted)
+
     def test_imag_branchcut_has_rows(self, capsys):
         code, out, _ = run_cli(capsys, "plot", "--kind", "imag_branchcut",
                                "--range=-1.1:1.1", "--samples", "36")
@@ -166,6 +202,31 @@ class TestPlot:
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "plot", "--kind", "real_zeta", "--range=-0.5:0.5")
         assert code == 2
+
+
+def _sheets_abs_reference(samples, radius):
+    """`plot --kind sheets_abs` rows as first written: k(t) once for the root
+    pair and again inside each SurfacePoint."""
+    import numpy as np
+
+    from gridzeta import surface
+    from gridzeta.errors import GridZetaError
+    from gridzeta.special import u_pair_from_t
+
+    lines = ["t_re,t_im,u_re,u_im,absZ"]
+    n = max(int(round(samples ** 0.5)), 2)
+    for re in np.linspace(-radius, radius, n):
+        for im in np.linspace(-radius, radius, n):
+            t = complex(re, im)
+            if not 1e-3 < abs(t) <= radius:
+                continue
+            try:
+                for u in u_pair_from_t(t):
+                    z = surface.zeta_tilde(surface.SurfacePoint(u, t))
+                    lines.append(",".join("%.17g" % x for x in (t.real, t.imag, u.real, u.imag, abs(z))))
+            except GridZetaError:
+                continue
+    return "\n".join(lines) + "\n"
 
 
 class TestSheets:
@@ -194,13 +255,21 @@ class TestConverge:
         errs = [float(line.split(",")[1]) for line in lines[1:]]
         assert errs[1] < errs[0]
 
-    @pytest.mark.parametrize("sizes", ["2000", "8,x"])
-    def test_bad_sizes_exit_domain(self, capsys, sizes):
-        code, out, err = run_cli(capsys, "converge", "--family", "grid",
+    @pytest.mark.parametrize("family", ["grid", "torus"])
+    @pytest.mark.parametrize("sizes", ["5000", "8,x"])
+    def test_bad_sizes_exit_domain(self, capsys, sizes, family):
+        code, out, err = run_cli(capsys, "converge", "--family", family,
                                  "--u", "0.05+0.05i", "--sizes", sizes)
         assert code == 2
         assert out == ""
         assert json.loads(err)["type"] == "domain"
+
+    def test_large_grid_sizes(self, capsys):
+        code, out, _ = run_cli(capsys, "converge", "--family", "grid",
+                               "--u", "0.1", "--sizes", "64,128,256")
+        assert code == 0
+        errs = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+        assert len(errs) == 3 and errs[2] < errs[1] < errs[0]
 
 
 class TestWalks:
@@ -228,6 +297,16 @@ class TestCheck:
         assert code == 0
         data = json.loads(out)
         assert data["passed"] is True
+
+    def test_check_writes_nothing_to_stderr(self):
+        # a subprocess, because pytest would capture a warning before stderr
+        import gridzeta
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gridzeta.__file__)))
+        res = subprocess.run([sys.executable, "-m", "gridzeta.cli", "check"],
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert res.returncode == 0
+        assert res.stderr == ""
 
     def test_fault_injection_detected(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--inject-fault", "zeta-coefficient")

@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse
 
 from gridzeta import finite_graphs
-from gridzeta.errors import BranchAmbiguityError, DomainError, PoleError
+from gridzeta.errors import BranchAmbiguityError, DomainError, PoleError, PrecisionError
 from gridzeta.finite_graphs import (
     GRID_LIMIT_RADIUS,
     FiniteGraph,
@@ -199,6 +199,13 @@ class TestNormalizedLogZeta:
         z = ihara_zeta_finite(g, u)
         assert abs(normalized_log_zeta(g, u) - cmath.log(z) / 9) < 1e-12
 
+    def test_needs_a_labelled_product_shape(self):
+        g = torus_graph(4, 4)
+        with pytest.raises(DomainError, match="grid or torus"):
+            normalized_log_zeta(FiniteGraph(g.n_vertices, g.adjacency, g.degrees, g.n_edges), 0.1)
+        with pytest.raises(DomainError, match="edge count"):
+            normalized_log_zeta(dataclasses.replace(g, family=""), 0.1)
+
     def test_grid_complex_u_pivot_route(self):
         # complex u takes the elimination-pivot branch of the grid route
         g = grid_graph(4, 4)
@@ -244,22 +251,35 @@ class TestBandedGridKernel:
         with pytest.raises(BranchAmbiguityError):
             normalized_log_zeta(g, u)
 
-    @pytest.mark.parametrize("u, size", [(0.1, 250), (0.05 + 0.05j, 200)])
-    def test_band_cap_refuses_quickly(self, u, size):
-        g = grid_graph(size, size)
+    def test_root_outside_bracket_is_refused(self):
+        # unlabeled, so the radius guard is off; at u = 0.9 Newton converges on
+        # the 8-vertex path, but to roots several spacings from their starts
+        g = dataclasses.replace(grid_graph(8, 8), family="")
+        with pytest.raises(BranchAmbiguityError, match="bracket"):
+            normalized_log_zeta(g, 0.9)
+
+    def test_newton_must_converge(self, monkeypatch):
+        monkeypatch.setattr(finite_graphs, "_NEWTON_STEPS", 1)
+        with pytest.raises(PrecisionError, match="Newton"):
+            normalized_log_zeta(grid_graph(8, 8), 0.1)
+
+    @pytest.mark.parametrize("make", [grid_graph, torus_graph])
+    def test_vertex_cap_refuses_quickly(self, make):
         start = time.perf_counter()
         with pytest.raises(DomainError, match="cap"):
-            normalized_log_zeta(g, u)
+            make(5000, 5000)
         assert time.perf_counter() - start < 0.5
 
-    def test_convergence_table_refuses_before_building(self, monkeypatch):
+    @pytest.mark.parametrize("family", ["grid", "torus"])
+    def test_convergence_table_refuses_before_building(self, monkeypatch, family):
         def no_build(n, m):
             raise AssertionError("a graph was built before the size check")
 
         monkeypatch.setattr(finite_graphs, "grid_graph", no_build)
+        monkeypatch.setattr(finite_graphs, "torus_graph", no_build)
         start = time.perf_counter()
         with pytest.raises(DomainError, match="cap"):
-            convergence_table("grid", 0.05 + 0.05j, [8, 2000])
+            convergence_table(family, 0.05 + 0.05j, [8, 5000])
         assert time.perf_counter() - start < 0.5
 
 
@@ -294,3 +314,30 @@ class TestConvergenceTable:
         adj = torus_graph(4, 4).adjacency.toarray()
         eig = np.sort(np.linalg.eigvalsh(adj.astype(float)))
         assert np.allclose(np.sort(lam), eig, atol=1e-10)
+
+
+class TestBoundaryTerm:
+    """The grid error is a boundary term c(u)/n plus O(1/n^2), so n * error
+    moves by half as much from 512 to 1024 as from 256 to 512."""
+
+    @pytest.mark.parametrize("u", [0.1, 0.05 + 0.08j, 0.11j])
+    def test_second_order_correction_halves(self, u):
+        from gridzeta.surface import lift_principal, zeta_tilde
+
+        ref = cmath.log(zeta_tilde(lift_principal(u)))
+        c = [n * (normalized_log_zeta(grid_graph(n, n), u) - ref) for n in (256, 512, 1024)]
+        ratio = (c[1] - c[0]) / (c[2] - c[1])
+        assert abs(ratio - 2.0) <= 0.2, ratio
+
+    def test_convergence_table_leaves_scipy_unloaded(self):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(finite_graphs.__file__)))
+        code = ("import sys; from gridzeta.finite_graphs import convergence_table; "
+                "convergence_table('grid', 0.1, [8, 16]); "
+                "print([m for m in sys.modules if m.startswith('scipy')])")
+        res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.strip() == "[]"

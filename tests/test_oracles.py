@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from gridzeta.errors import DomainError
+from gridzeta.errors import DomainError, PrecisionError
 from gridzeta.expansions import geodesic_counts_from_series, trlog_series
 from gridzeta.oracles import (
     QuadratureSpec,
@@ -58,6 +58,15 @@ class TestTorusQuadrature:
             cur = log_det_torus_quadrature(u, QuadratureSpec(abs_tol=tol, rel_tol=tol))
             assert abs(cur - prev) <= 2 * tol
             prev = cur
+
+    def test_node_budget_refuses_deep_refinement(self):
+        # without the budget this spec ran for more than 300 s at 3e-5 from the circle
+        import time
+
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError, match="budget"):
+            zeta_via_quadrature(0.57732j, QuadratureSpec(max_subdivisions=16))
+        assert time.perf_counter() - start < 30
 
 
 class TestReducedQuadrature:

@@ -131,6 +131,11 @@ class TestLift:
         with pytest.raises(DomainError):
             lift_principal(0.9)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, complex(0.1, math.inf), complex(math.nan, 0.1)])
+    def test_non_finite_refused(self, u):
+        with pytest.raises(DomainError, match="finite"):
+            lift_principal(u)
+
 
 class TestInvolution:
     def test_involutive(self):
