@@ -58,7 +58,6 @@ from .oracles import (
 from .powerseries import ExactSeries
 from .regions import RegionTag, classify_u
 from .special import (
-    TruncationPolicy,
     agm,
     elliptic_k,
     modulus_from_t,

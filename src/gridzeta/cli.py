@@ -12,6 +12,7 @@ import argparse
 import cmath
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -134,7 +135,7 @@ def cmd_eval(args) -> int:
     if args.route == "quadrature":
         spec = oracles.QuadratureSpec(abs_tol=args.tol, rel_tol=args.tol)
         z = oracles.zeta_via_quadrature(u, spec)
-        t = nome_t_from_u(u) if u != 0 else 0j
+        t = nome_t_from_u(u)
     elif args.route == "series":
         if abs(u) >= 1.0 / 3.0:
             raise DomainError("the series route converges only for |u| < 1/3")
@@ -420,8 +421,24 @@ def _check_args(args):
         raise DomainError(f"--samples must be >= 1, got {args.samples}")
 
 
+_NEGATIVE_VALUE = re.compile(r"-[0-9.i]")
+
+
+def _attach_negative_values(argv):
+    """Write `--u V` and `--range V` as `--u=V` and `--range=V` when V starts
+    with a minus sign: argparse would take -0.1i or -0.3:0.3 for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--u", "--range") and _NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         _check_args(args)
         return args.func(args)

@@ -130,13 +130,6 @@ def theta_series_exact(order: int):
     return half_series * half_series, ExactSeries(c3, var="q"), ExactSeries(c4, var="q")
 
 
-def _expand_product(order: int, var: str, factors) -> ExactSeries:
-    acc = ExactSeries.one(order, var)
-    for f in factors:
-        acc = acc * f.pad(order)
-    return acc
-
-
 def theta_product_series(order: int):
     """The three theta expansions obtained from the infinite products.
 

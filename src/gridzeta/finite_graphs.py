@@ -143,7 +143,11 @@ def ihara_zeta_finite(g: FiniteGraph, u) -> complex:
     return 1.0 / ((1.0 - u * u) ** ev * det)
 
 
-def _torus_zeta_via_eigenvalues(g: FiniteGraph, u: complex) -> complex:
+def torus_zeta_eigenroute(g: FiniteGraph, u) -> complex:
+    """Eigenvalue-product evaluation of the torus zeta (cross-check route)."""
+    if g.family != "torus":
+        raise DomainError("eigenvalue route applies to torus graphs only")
+    u = complex(u)
     n, m = g.shape
     lam = torus_adjacency_eigenvalues(n, m)
     det = complex(np.prod(1.0 - lam * u + 3.0 * u * u))
@@ -151,13 +155,6 @@ def _torus_zeta_via_eigenvalues(g: FiniteGraph, u: complex) -> complex:
     if abs(det) < 1e-12:
         raise PoleError(f"determinant vanishes at this u (|det| = {abs(det):.3e})")
     return 1.0 / ((1.0 - u * u) ** ev * det)
-
-
-def torus_zeta_eigenroute(g: FiniteGraph, u) -> complex:
-    """Eigenvalue-product evaluation of the torus zeta (cross-check route)."""
-    if g.family != "torus":
-        raise DomainError("eigenvalue route applies to torus graphs only")
-    return _torus_zeta_via_eigenvalues(g, complex(u))
 
 
 def finite_functional_equation_residual(g: FiniteGraph, u) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .special import modulus_from_u
 __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
-    "WalkCounterState",
     "log_det_torus_quadrature",
     "log_det_torus_trapezoid",
     "log_det_1d_quadrature",
@@ -58,14 +57,14 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 _NODE_BUDGET = 2**23
 
 
-def _periodic_mean_batch(fvec, tol: float, max_level: int, n0: int = 16):
+def _periodic_mean_batch(fvec, tol: float, max_level: int):
     """Mean over one period for a batch of smooth periodic integrands.
 
     fvec(theta_array) must return an array of shape (batch, len(theta)).
-    Doubles the equispaced node count until the worst entry moves by less
-    than tol.
+    Starting from 16 nodes, doubles the equispaced node count until the
+    worst entry moves by less than tol.
     """
-    n = n0
+    n = 16
     theta = 2.0 * np.pi * np.arange(n) / n
     prev = fvec(theta).mean(axis=1)
     for _ in range(max_level):
@@ -85,8 +84,9 @@ def log_det_torus_quadrature(u, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> co
 
     (1/2pi)^2 iint log(1 + 3u^2 - 2u cos s - 2u cos t) ds dt, evaluated as an
     iterated equispaced rule: the inner mean over s is refined per outer node,
-    then the outer mean over t is refined.  Valid for u in the principal
-    region, where the integrand avoids the cut (-inf, 0].
+    then the outer mean over t is refined, both by `_periodic_mean_batch`.
+    Valid for u in the principal region, where the integrand avoids the cut
+    (-inf, 0].
     """
     u = complex(u)
     if u == 0:
@@ -95,7 +95,7 @@ def log_det_torus_quadrature(u, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> co
         raise DomainError("the torus integral represents the log-determinant only on the principal region")
     c = 1.0 + 3.0 * u * u
 
-    def inner_for(tvals, tol):
+    def inner_means(tvals):
         a = c - 2.0 * u * np.cos(tvals)  # one inner constant per outer node
 
         def fvec(s):
@@ -106,21 +106,9 @@ def log_det_torus_quadrature(u, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> co
                 )
             return np.log(a[:, None] - 2.0 * u * np.cos(s)[None, :])
 
-        return _periodic_mean_batch(fvec, tol, spec.max_subdivisions)
+        return _periodic_mean_batch(fvec, spec.abs_tol / 8.0, spec.max_subdivisions)[None, :]
 
-    inner_tol = spec.abs_tol / 8.0
-    n = 16
-    theta = 2.0 * np.pi * np.arange(n) / n
-    prev = np.mean(inner_for(theta, inner_tol))
-    for _ in range(spec.max_subdivisions):
-        extra = theta + np.pi / n
-        cur = 0.5 * (prev + np.mean(inner_for(extra, inner_tol)))
-        n *= 2
-        theta = 2.0 * np.pi * np.arange(n) / n
-        if abs(cur - prev) <= spec.abs_tol / 2.0:
-            return complex(cur)
-        prev = cur
-    raise PrecisionError("torus quadrature did not converge to the requested tolerance")
+    return complex(_periodic_mean_batch(inner_means, spec.abs_tol / 2.0, spec.max_subdivisions)[0])
 
 
 def log_det_torus_trapezoid(u, n: int = 128) -> complex:
@@ -184,17 +172,6 @@ _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _OPPOSITE = {0: 1, 1: 0, 2: 3, 3: 2}
 
 
-@dataclass
-class WalkCounterState:
-    """Exact counting table for lattice walks within a bounding box."""
-
-    radius: int
-    counts: dict = field(default_factory=dict)
-
-    def inside(self, x: int, y: int) -> bool:
-        return abs(x) <= self.radius and abs(y) <= self.radius
-
-
 def closed_walk_count_dp(k: int) -> int:
     """Closed walks of length 2k from the origin, by stepwise convolution.
 
@@ -204,17 +181,15 @@ def closed_walk_count_dp(k: int) -> int:
         raise ValueError("k must be nonnegative")
     if k > 32:
         raise DomainError("closed_walk_count_dp is a desk-scale oracle (k <= 32)")
-    steps = 2 * k
-    state = WalkCounterState(radius=steps, counts={(0, 0): 1})
-    for _ in range(steps):
+    counts = {(0, 0): 1}
+    for _ in range(2 * k):
         nxt: dict = {}
-        for (x, y), c in state.counts.items():
+        for (x, y), c in counts.items():
             for dx, dy in _STEPS:
                 p = (x + dx, y + dy)
-                if state.inside(*p):
-                    nxt[p] = nxt.get(p, 0) + c
-        state.counts = nxt
-    return state.counts.get((0, 0), 0)
+                nxt[p] = nxt.get(p, 0) + c
+        counts = nxt
+    return counts.get((0, 0), 0)
 
 
 def geodesic_count_dp(m: int) -> int:
@@ -233,19 +208,18 @@ def geodesic_count_dp(m: int) -> int:
     total = 0
     for d0 in range(4):
         dx, dy = _STEPS[d0]
-        state = WalkCounterState(radius=m, counts={(dx, dy, d0): 1})
+        counts = {(dx, dy, d0): 1}
         for _ in range(m - 1):
             nxt: dict = {}
-            for (x, y, d), c in state.counts.items():
+            for (x, y, d), c in counts.items():
                 for d2 in range(4):
                     if d2 == _OPPOSITE[d]:
                         continue
                     sx, sy = _STEPS[d2]
                     p = (x + sx, y + sy, d2)
-                    if state.inside(p[0], p[1]):
-                        nxt[p] = nxt.get(p, 0) + c
-            state.counts = nxt
-        for (x, y, d), c in state.counts.items():
+                    nxt[p] = nxt.get(p, 0) + c
+            counts = nxt
+        for (x, y, d), c in counts.items():
             if x == 0 and y == 0 and d != _OPPOSITE[d0]:
                 total += c
     return total
@@ -272,6 +246,7 @@ def _closed_nonbacktracking_words(m: int):
             extend(pos_x + dx, pos_y + dy, step + 1)
 
     extend(0, 0, 0)
+    del extend  # extend holds itself through its closure; freeing it frees the words now
     return words
 
 

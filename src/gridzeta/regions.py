@@ -16,6 +16,7 @@ import math
 
 SQRT3 = math.sqrt(3.0)
 OMEGA_RADIUS = 1.0 / SQRT3
+REGION_TOL = 1e-12  # distance within which a point counts as on D or excluded
 
 # Points removed from Y, in no particular order.
 EXCLUDED_POINTS = (
@@ -37,25 +38,25 @@ class RegionTag(enum.Enum):
     EXCLUDED_POINT = "excluded_point"
 
 
-def classify_u(u, tol: float = 1e-12) -> RegionTag:
+def classify_u(u) -> RegionTag:
     """Classify a point of the u plane relative to D, Omega and Y.
 
-    Points within `tol` of one of the eight excluded points classify as
-    EXCLUDED_POINT; points within `tol` of the circle or of the two real
+    Points within REGION_TOL of one of the eight excluded points classify as
+    EXCLUDED_POINT; points within REGION_TOL of the circle or of the two real
     segments classify as ON_D.
     """
     u = complex(u)
     for p in EXCLUDED_POINTS:
-        if abs(u - p) <= tol:
+        if abs(u - p) <= REGION_TOL:
             return RegionTag.EXCLUDED_POINT
-    if abs(abs(u) - OMEGA_RADIUS) <= tol:
+    if abs(abs(u) - OMEGA_RADIUS) <= REGION_TOL:
         return RegionTag.ON_D
-    if abs(u.imag) <= tol and (1 / 3 - tol) <= abs(u.real) <= 1 + tol:
+    if abs(u.imag) <= REGION_TOL and (1 / 3 - REGION_TOL) <= abs(u.real) <= 1 + REGION_TOL:
         return RegionTag.ON_D
     if abs(u) < OMEGA_RADIUS:
         return RegionTag.IN_OMEGA
     return RegionTag.OUTSIDE_OMEGA_IN_Y
 
 
-def is_in_omega(u, tol: float = 1e-12) -> bool:
-    return classify_u(u, tol) is RegionTag.IN_OMEGA
+def is_in_omega(u) -> bool:
+    return classify_u(u) is RegionTag.IN_OMEGA

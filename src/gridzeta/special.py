@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import (
     BranchCutError,
@@ -29,8 +28,6 @@ from .errors import (
 from .regions import RegionTag, classify_u
 
 __all__ = [
-    "TruncationPolicy",
-    "DEFAULT_POLICY",
     "agm",
     "elliptic_k",
     "theta3",
@@ -47,26 +44,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Stopping rule for theta-type series and products.
-
-    Summation stops once the current term is below `tail_tolerance` relative
-    to the partial sum and the terms are decreasing; if `max_terms` terms do
-    not suffice, a PrecisionError is raised.
-    """
-
-    max_terms: int = 256
-    tail_tolerance: float = 1e-17
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
-        if not self.tail_tolerance > 0:
-            raise ValueError("tail_tolerance must be positive")
-
-
-DEFAULT_POLICY = TruncationPolicy()
+# Theta-type series and products stop once the current term is below
+# _TAIL_TOL relative to the partial sum and the terms are decreasing; if
+# _MAX_TERMS terms do not suffice, a PrecisionError is raised.
+_MAX_TERMS = 256
+_TAIL_TOL = 1e-17
+_AGM_MAX_ITER = 64
 
 
 def _finite(z: complex, what: str) -> complex:
@@ -75,7 +58,7 @@ def _finite(z: complex, what: str) -> complex:
     return z
 
 
-def agm(a, b, max_iter: int = 64) -> complex:
+def agm(a, b) -> complex:
     """Arithmetic-geometric mean with the principal branch convention.
 
     At every step the square root is chosen so that |a-b| <= |a+b| (ties
@@ -90,7 +73,7 @@ def agm(a, b, max_iter: int = 64) -> complex:
     if r.imag == 0.0 and r.real < 0.0:
         raise DomainError("agm is not defined when a/b is a negative real")
     prev_gap = math.inf
-    for _ in range(max_iter):
+    for _ in range(_AGM_MAX_ITER):
         gap = abs(a - b)
         if gap <= 4e-16 * abs(a):
             return _finite(0.5 * (a + b), "agm")
@@ -106,7 +89,7 @@ def agm(a, b, max_iter: int = 64) -> complex:
         if da > db or (da == db and (gm / am).imag < 0.0):
             gm = -gm
         a, b = am, gm
-    raise IterationLimitError("agm did not converge in %d iterations" % max_iter)
+    raise IterationLimitError("agm did not converge in %d iterations" % _AGM_MAX_ITER)
 
 
 def _elliptic_k_unchecked(k: complex) -> complex:
@@ -138,7 +121,7 @@ def elliptic_k(k) -> complex:
     return _finite(_elliptic_k_unchecked(k), "elliptic_k")
 
 
-def _theta_sum(q: complex, signed: bool, policy: TruncationPolicy, name: str) -> complex:
+def _theta_sum(q: complex, signed: bool, name: str) -> complex:
     if abs(q) >= 1.0:
         raise DomainError(f"{name} requires |q| < 1")
     total = 1.0 + 0.0j
@@ -146,7 +129,7 @@ def _theta_sum(q: complex, signed: bool, policy: TruncationPolicy, name: str) ->
     qstep = q  # q^(2n+1)
     q2 = q * q
     prev = math.inf
-    for n in range(1, policy.max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         qn *= qstep
         qstep *= q2
         term = 2.0 * qn
@@ -154,36 +137,36 @@ def _theta_sum(q: complex, signed: bool, policy: TruncationPolicy, name: str) ->
             term = -term
         total += term
         mag = abs(term)
-        if mag < policy.tail_tolerance * max(1.0, abs(total)) and mag <= prev:
+        if mag < _TAIL_TOL * max(1.0, abs(total)) and mag <= prev:
             return _finite(total, name)
         prev = mag
-    raise PrecisionError(f"{name} tail not resolved within {policy.max_terms} terms")
+    raise PrecisionError(f"{name} tail not resolved within {_MAX_TERMS} terms")
 
 
-def theta3(q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def theta3(q) -> complex:
     """theta3(q) = sum of q^(n^2) over all integers n, for |q| < 1."""
-    return _theta_sum(complex(q), False, policy, "theta3")
+    return _theta_sum(complex(q), False, "theta3")
 
 
-def theta4(q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def theta4(q) -> complex:
     """theta4(q) = sum of (-1)^n q^(n^2) over all integers n, for |q| < 1."""
-    return _theta_sum(complex(q), True, policy, "theta4")
+    return _theta_sum(complex(q), True, "theta4")
 
 
-def _product(q: complex, factor, policy: TruncationPolicy, name: str) -> complex:
+def _product(q: complex, factor, name: str) -> complex:
     """Evaluate an infinite product whose n-th factor tends to 1 like q^n."""
     if abs(q) >= 1.0:
         raise DomainError(f"{name} requires |q| < 1")
     total = 1.0 + 0.0j
-    for n in range(1, policy.max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         f, scale = factor(n)
         total *= f
-        if scale < policy.tail_tolerance:
+        if scale < _TAIL_TOL:
             return _finite(total, name)
-    raise PrecisionError(f"{name} product not resolved within {policy.max_terms} factors")
+    raise PrecisionError(f"{name} product not resolved within {_MAX_TERMS} factors")
 
 
-def theta3_product(q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def theta3_product(q) -> complex:
     """Product form of theta3: prod (1-q^(2n)) (1+q^(2n-1))^2."""
     q = complex(q)
 
@@ -192,10 +175,10 @@ def theta3_product(q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
         odd = q ** (2 * n - 1)
         return (1 - even) * (1 + odd) ** 2, abs(odd)
 
-    return _product(q, factor, policy, "theta3_product")
+    return _product(q, factor, "theta3_product")
 
 
-def theta4_product(q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def theta4_product(q) -> complex:
     """Product form of theta4: prod (1-q^(2n)) (1-q^(2n-1))^2."""
     q = complex(q)
 
@@ -204,10 +187,10 @@ def theta4_product(q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
         odd = q ** (2 * n - 1)
         return (1 - even) * (1 - odd) ** 2, abs(odd)
 
-    return _product(q, factor, policy, "theta4_product")
+    return _product(q, factor, "theta4_product")
 
 
-def theta2_sq(t, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def theta2_sq(t) -> complex:
     """theta2 squared as a single-valued function of t (where q = t^2).
 
     Uses the product form 4t prod (1-t^(4n))^2 (1+t^(4n))^4, which is
@@ -223,10 +206,10 @@ def theta2_sq(t, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
         p = t ** (4 * n)
         return (1 - p) ** 2 * (1 + p) ** 4, abs(p)
 
-    return 4.0 * t * _product(t, factor, policy, "theta2_sq")
+    return 4.0 * t * _product(t, factor, "theta2_sq")
 
 
-def theta2_sq_from_series(t, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def theta2_sq_from_series(t) -> complex:
     """theta2 squared via the squared half-integer series, 4t (sum t^(2n(n+1)))^2.
 
     Independent of the product route; used as its cross-check.
@@ -236,11 +219,11 @@ def theta2_sq_from_series(t, policy: TruncationPolicy = DEFAULT_POLICY) -> compl
         raise DomainError("theta2_sq_from_series requires |t| < 1")
     s = 1.0 + 0.0j
     prev = math.inf
-    for n in range(1, policy.max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         term = t ** (2 * n * (n + 1))
         s += term
         mag = abs(term)
-        if mag < policy.tail_tolerance * max(1.0, abs(s)) and mag <= prev:
+        if mag < _TAIL_TOL * max(1.0, abs(s)) and mag <= prev:
             break
         prev = mag
     else:
@@ -257,7 +240,7 @@ def modulus_from_u(u) -> complex:
     return 4.0 * u / den
 
 
-def modulus_from_t(t, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def modulus_from_t(t) -> complex:
     """The modulus k = theta2^2(t) / theta3^2(t^2), analytic in t on the disk.
 
     theta2^2 comes from the half-integer series (about 19 terms at |t| = 0.95,
@@ -265,16 +248,16 @@ def modulus_from_t(t, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     the independent cross-check.
     """
     t = complex(t)
-    th3 = theta3(t * t, policy)
-    return theta2_sq_from_series(t, policy) / (th3 * th3)
+    th3 = theta3(t * t)
+    return theta2_sq_from_series(t) / (th3 * th3)
 
 
-def _nome_t_from_modulus(k: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def _nome_t_from_modulus(k: complex) -> complex:
     """Solve theta2^2(t)/theta3^2(t^2) = k for the principal t."""
-    return _nome_t_and_modulus(k, policy)[0]
+    return _nome_t_and_modulus(k)[0]
 
 
-def _nome_t_and_modulus(k: complex, policy: TruncationPolicy = DEFAULT_POLICY):
+def _nome_t_and_modulus(k: complex):
     """The principal t with theta2^2(t)/theta3^2(t^2) = k, and k(t) itself.
 
     Route: tau = i K(k') / K(k) with principal square roots, t = exp(i pi tau / 2).
@@ -292,7 +275,7 @@ def _nome_t_and_modulus(k: complex, policy: TruncationPolicy = DEFAULT_POLICY):
     t = cmath.exp(0.5j * cmath.pi * tau)
     if abs(t) >= 1.0:
         raise PrecisionError("nome escaped the unit disk")
-    kt = modulus_from_t(t, policy)
+    kt = modulus_from_t(t)
     if abs(kt - k) > abs(kt + k):
         t = -t
         kt = -kt
@@ -303,7 +286,7 @@ def _nome_t_and_modulus(k: complex, policy: TruncationPolicy = DEFAULT_POLICY):
     return t, kt
 
 
-def nome_t_from_u(u, policy: TruncationPolicy = DEFAULT_POLICY, region_check: bool = True) -> complex:
+def nome_t_from_u(u) -> complex:
     """Principal lift t of a point u in the region Omega.
 
     Computes k = 4u/(1+3u^2), tau = i K(sqrt(1-k^2))/K(k), t = exp(i pi tau/2),
@@ -313,20 +296,20 @@ def nome_t_from_u(u, policy: TruncationPolicy = DEFAULT_POLICY, region_check: bo
     u = complex(u)
     if u == 0:
         return 0.0j
-    if region_check and classify_u(u) is not RegionTag.IN_OMEGA:
+    if classify_u(u) is not RegionTag.IN_OMEGA:
         raise DomainError(
             "u is outside the principal region; use the surface sheet machinery"
         )
-    return _nome_t_from_modulus(modulus_from_u(u), policy)
+    return _nome_t_from_modulus(modulus_from_u(u))
 
 
-def u_pair_from_t(t, policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[complex, complex]:
+def u_pair_from_t(t) -> tuple[complex, complex]:
     """Both solutions u of 4u/(1+3u^2) = k(t), as (u_plus, u_minus).
 
     The two roots satisfy u_plus * u_minus = 1/3; u_minus is the one of
     smaller magnitude (the branch with u_minus -> 0 as t -> 0).
     """
-    return u_pair_from_modulus(modulus_from_t(t, policy))
+    return u_pair_from_modulus(modulus_from_t(t))
 
 
 def u_pair_from_modulus(k) -> tuple[complex, complex]:

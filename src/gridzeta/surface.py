@@ -27,9 +27,9 @@ from .errors import BranchAmbiguityError, DomainError, PrecisionError
 from .regions import RegionTag, classify_u
 from .special import (
     _nome_t_and_modulus,
+    _nome_t_from_modulus,
     modulus_from_t,
     modulus_from_u,
-    nome_t_from_u,
     u_pair_from_modulus,
 )
 
@@ -221,7 +221,7 @@ class DeckWord:
         )
 
 
-def deck_transform(sigma: SurfacePoint, word: DeckWord, t_cap: float = T_CAP) -> SurfacePoint:
+def deck_transform(sigma: SurfacePoint, word: DeckWord) -> SurfacePoint:
     """Move sigma to another sheet over the same u.
 
     Recovers tau = -(2i/pi) log t (principal log), applies the Mobius action
@@ -239,7 +239,7 @@ def deck_transform(sigma: SurfacePoint, word: DeckWord, t_cap: float = T_CAP) ->
     if tau2.imag <= 0.0:
         raise BranchAmbiguityError("transformed half-period ratio left the upper half-plane")
     t2 = cmath.exp(0.5j * math.pi * tau2)
-    if abs(t2) >= t_cap:
+    if abs(t2) >= T_CAP:
         raise PrecisionError("transformed sheet too close to the unit circle for evaluation")
     k_old = sigma.k
     k_new = modulus_from_t(t2)
@@ -285,20 +285,28 @@ def _F_even_coeffs(order: int):
     return coeffs.tolist(), suffix_max.tolist()
 
 
-def F_eval(t, order: int = F_SERIES_ORDER) -> complex:
+def _F_tail_bound(x: float, n: int) -> float:
+    """Bound on sum_{j > n} |c_j| x^j for 0 <= x < 1.
+
+    |c_j| = |p_j| / (2j) <= 16.5 j, since |p_j| <= r_6(j) <= 20 sigma_2(j) < 33 j^2.
+    """
+    return 16.5 * x ** (n + 1) * ((n + 1) - n * x) / (1.0 - x) ** 2
+
+
+def F_eval(t) -> complex:
     """The analytic exponent F(t): series sum with F(0) = 0, real coefficients.
 
-    Valid for |t| <= 0.95, where the default truncation order leaves the
-    tail below 1e-14.  Horner runs over the terms before the first j whose
-    tail bound suffix_max[j] |t|^(2j) / (1 - |t|^2) is below 1e-14: 9 terms
-    at |t| = 0.1, 86 at |t| = 0.79, 405 at |t| = 0.95.
+    Valid for |t| <= 0.95, where the truncation order F_SERIES_ORDER leaves
+    the tail below 1e-14.  Horner runs over the terms before the first j
+    whose tail bound suffix_max[j] |t|^(2j) / (1 - |t|^2) is below 1e-14: 9
+    terms at |t| = 0.1, 86 at |t| = 0.79, 405 at |t| = 0.95.
     """
     t = complex(t)
     if abs(t) > T_CAP:
         raise PrecisionError("F_eval is limited to |t| <= %.2f" % T_CAP)
     if t == 0:
         return 0.0j
-    coeffs, suffix_max = _F_even_coeffs(order)
+    coeffs, suffix_max = _F_even_coeffs(F_SERIES_ORDER)
     w = t * t
     aw = max(abs(w), 1e-300)  # keeps the log finite where t * t underflows
     cut = F_TAIL_TOL * (1.0 - aw)
@@ -309,9 +317,8 @@ def F_eval(t, order: int = F_SERIES_ORDER) -> complex:
     acc = 0.0 + 0.0j
     for c in reversed(coeffs[:n]):
         acc = acc * w + c
-    # geometric bound on the tail beyond the computed order
-    tail = abs(coeffs[-1]) * aw ** (len(coeffs) - 1) * aw / (1.0 - aw)
-    if tail > F_TAIL_TOL * max(1.0, abs(acc)):
+    # proven bound on the tail beyond the computed order
+    if _F_tail_bound(aw, len(coeffs) - 1) > F_TAIL_TOL * max(1.0, abs(acc)):
         raise PrecisionError("series order insufficient for the requested |t|")
     return acc
 
@@ -337,7 +344,7 @@ def zeta_principal(u) -> complex:
     u = complex(u)
     if u == 0:
         return 1.0 + 0.0j
-    t = nome_t_from_u(u, region_check=False)
+    t = _nome_t_from_modulus(modulus_from_u(u))
     return t * cmath.exp(-F_eval(t)) / (u * (1.0 - u * u))
 
 

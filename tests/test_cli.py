@@ -332,6 +332,30 @@ class TestArgumentRanges:
         assert json.loads(err)["type"] == "domain"
 
 
+class TestNegativeValues:
+    """A value after --u or --range may start with a minus sign."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--u", "-0.1i"),
+            ("converge", "--family", "grid", "--u", "-0.05-0.05i", "--sizes", "8,16"),
+            ("plot", "--kind", "real_zeta", "--range", "-0.3:0.3"),
+        ],
+    )
+    def test_same_as_equals_form(self, capsys, argv):
+        i = argv.index("--u") if "--u" in argv else argv.index("--range")
+        joined = argv[:i] + (f"{argv[i]}={argv[i + 1]}",) + argv[i + 2 :]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(capsys, *joined)
+
+    def test_from_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["gridzeta", "eval", "--u", "-0.1-0.1i"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["u"] == [-0.1, -0.1]
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_unloaded(self):
         import gridzeta

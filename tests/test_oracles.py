@@ -4,6 +4,7 @@ import math
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from gridzeta.errors import DomainError, PrecisionError
@@ -67,6 +68,26 @@ class TestTorusQuadrature:
         with pytest.raises(PrecisionError, match="budget"):
             zeta_via_quadrature(0.57732j, QuadratureSpec(max_subdivisions=16))
         assert time.perf_counter() - start < 30
+
+    def test_outer_refinement_exhaustion_refuses(self, monkeypatch):
+        # perturb the outer integrand (a batch of one) by +-1e-3 on interleaved
+        # nodes, so that its mean keeps moving while every inner mean converges
+        from gridzeta import oracles
+
+        rule = oracles._periodic_mean_batch
+
+        def perturbed_rule(fvec, tol, max_level):
+            def perturbed(theta):
+                vals = fvec(theta)
+                if vals.shape[0] == 1:
+                    vals = vals + 1e-3 * np.cos(len(theta) * theta)
+                return vals
+
+            return rule(perturbed, tol, max_level)
+
+        monkeypatch.setattr(oracles, "_periodic_mean_batch", perturbed_rule)
+        with pytest.raises(PrecisionError, match="periodic quadrature"):
+            log_det_torus_quadrature(0.1 + 0.05j)
 
 
 class TestReducedQuadrature:
@@ -140,6 +161,18 @@ class TestGeodesicCounts:
 
 
 class TestPrimitiveClasses:
+    def test_word_list_freed_on_return(self):
+        # a reference cycle would keep every enumerated word alive until a full collection
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            primitive_class_count(10)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_squares(self):
         assert primitive_class_count(4, oriented=True) == 2
         assert primitive_class_count(4, oriented=False) == 1

@@ -278,6 +278,21 @@ class TestFEval:
                 full = full * w + c
             assert abs(F_eval(t) - full) <= 1e-14 * max(1.0, abs(full))
 
+    @pytest.mark.parametrize("r", [0.5, 0.8, 0.9, 0.95])
+    def test_tail_bound_covers_longer_series(self, r):
+        # F_eval sums through (t^2)^512; a 4096-term convolution gives the tail after it
+        coeffs, _ = surface._F_even_coeffs(F_SERIES_ORDER)
+        longer, _ = surface._F_even_coeffs(8190)
+        n = len(coeffs) - 1
+        assert longer[: n + 1] == coeffs
+        j = np.arange(n + 1, len(longer))
+        c = np.abs(np.array(longer[n + 1 :]))
+        assert np.all(c <= 16.5 * j)
+        x = r * r
+        tail = float(np.sum(c * x ** j))
+        assert tail > 0
+        assert surface._F_tail_bound(x, n) >= tail
+
 
 class TestZetaPrincipal:
     def test_matches_zeta_tilde_inside(self):
